@@ -143,7 +143,7 @@ pub use pipeline::{
     ComponentOutcome, ComponentStats, ComponentTask, DecompositionObserver, DecompositionPlan,
     NoopObserver, ProgressObserver, ProgressSink,
 };
-pub use report::{json_escape, ResultRow, TableReport};
+pub use report::{json_escape, json_escape_into, ResultRow, TableReport};
 pub use session::{BatchTask, DecompositionSession, LayoutId};
 pub use stitch::StitchConfig;
 pub use verify::{density_imbalance, extract_masks, verify_spacing, Mask, SpacingViolation};

@@ -6,18 +6,36 @@ use std::fmt;
 /// Minimal JSON string escaping (quotes, backslashes, control characters)
 /// — the shared helper behind the hand-rolled JSON emitters of the
 /// `qpl-decompose` CLI and the `mpl-bench` batch reports (the workspace
-/// has no serde dependency).
+/// has no serde dependency).  A wrapper over [`json_escape_into`].
 pub fn json_escape(text: &str) -> String {
     let mut out = String::with_capacity(text.len());
-    for c in text.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
+    json_escape_into(text, &mut out);
     out
+}
+
+/// Appends `text` to `out` with [`json_escape`]'s escaping.  Runs of bytes
+/// that need no escape are copied whole, so the cost is one pass over
+/// `text` with no allocation beyond `out`'s growth.
+pub fn json_escape_into(text: &str, out: &mut String) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    let mut run_start = 0;
+    for (index, &byte) in text.as_bytes().iter().enumerate() {
+        let escape = match byte {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            0x00..=0x1f => "\\u00",
+            _ => continue,
+        };
+        // Every escaped byte is ASCII, so `index` is a char boundary.
+        out.push_str(&text[run_start..index]);
+        out.push_str(escape);
+        if byte < 0x20 {
+            out.push(char::from(HEX[usize::from(byte >> 4)]));
+            out.push(char::from(HEX[usize::from(byte & 0xf)]));
+        }
+        run_start = index + 1;
+    }
+    out.push_str(&text[run_start..]);
 }
 
 /// One row of a comparison table: the conflict count, stitch count and
@@ -238,6 +256,16 @@ mod tests {
             json_escape("a\"b\\c\u{1}😀\n"),
             "a\\\"b\\\\c\\u0001😀\\u000a"
         );
+    }
+
+    #[test]
+    fn json_escape_into_appends_the_same_escaping() {
+        let mut out = String::from("\"k\":\"");
+        json_escape_into("a\"b\\c\u{1}😀\n", &mut out);
+        assert_eq!(out, "\"k\":\"a\\\"b\\\\c\\u0001😀\\u000a");
+        let mut empty = String::new();
+        json_escape_into("", &mut empty);
+        assert_eq!(empty, "");
     }
 
     fn row(

@@ -60,6 +60,10 @@ impl std::error::Error for FrameError {}
 #[derive(Debug, Default)]
 pub struct FrameDecoder {
     buffer: Vec<u8>,
+    /// Start of the first frame not yet yielded.  Yielded frames stay in
+    /// the buffer until it runs dry of complete frames, so a chunk holding
+    /// many small frames is not shifted down once per frame.
+    start: usize,
     /// Number of leading buffer bytes already scanned for a newline, so
     /// repeated pushes of a long frame do not rescan from the start.
     scanned: usize,
@@ -77,6 +81,7 @@ impl FrameDecoder {
     pub fn with_max_frame_len(max_frame_len: usize) -> Self {
         FrameDecoder {
             buffer: Vec::new(),
+            start: 0,
             scanned: 0,
             max_frame_len,
         }
@@ -108,23 +113,25 @@ impl FrameDecoder {
         {
             Some(found) => {
                 let newline = self.scanned + found;
-                let mut frame: Vec<u8> = self.buffer.drain(..=newline).collect();
-                self.scanned = 0;
-                frame.pop(); // the newline
+                let mut frame = &self.buffer[self.start..newline];
+                self.start = newline + 1;
+                self.scanned = self.start;
                 if frame.last() == Some(&b'\r') {
-                    frame.pop();
+                    frame = &frame[..frame.len() - 1];
                 }
                 if frame.len() > self.max_frame_len {
                     return Err(FrameError::Oversized {
                         limit: self.max_frame_len,
                     });
                 }
-                match String::from_utf8(frame) {
-                    Ok(text) => Ok(Some(text)),
+                match std::str::from_utf8(frame) {
+                    Ok(text) => Ok(Some(text.to_string())),
                     Err(_) => Err(FrameError::NotUtf8),
                 }
             }
             None => {
+                self.buffer.drain(..self.start);
+                self.start = 0;
                 self.scanned = self.buffer.len();
                 if self.buffer.len() > self.max_frame_len {
                     return Err(FrameError::TooLong {
@@ -138,13 +145,15 @@ impl FrameDecoder {
 
     /// Bytes buffered but not yet yielded as frames.
     pub fn buffered(&self) -> usize {
-        self.buffer.len()
+        self.buffer.len() - self.start
     }
 }
 
-/// Encodes one JSON document as a wire frame (compact JSON + `\n`).
+/// Encodes one JSON document as a wire frame (compact JSON + `\n`),
+/// written straight into the one returned buffer.
 pub fn encode_frame(value: &Json) -> String {
-    let mut frame = value.to_string();
+    let mut frame = String::new();
+    value.write(&mut frame);
     frame.push('\n');
     frame
 }
@@ -164,6 +173,21 @@ mod tests {
         assert_eq!(decoder.next_frame().unwrap(), None);
         decoder.push(b":3}\n");
         assert_eq!(decoder.next_frame().unwrap().unwrap(), "{\"c\":3}");
+        assert_eq!(decoder.buffered(), 0);
+    }
+
+    #[test]
+    fn many_frames_in_one_chunk_yield_in_order_with_the_tail_buffered() {
+        let mut decoder = FrameDecoder::new();
+        let chunk: String = (0..1000).map(|index| format!("{index}\n")).collect();
+        decoder.push(format!("{chunk}{{\"tail\"").as_bytes());
+        for index in 0..1000 {
+            assert_eq!(decoder.next_frame().unwrap().unwrap(), index.to_string());
+        }
+        assert_eq!(decoder.buffered(), "{\"tail\"".len());
+        assert_eq!(decoder.next_frame().unwrap(), None);
+        decoder.push(b":1}\n");
+        assert_eq!(decoder.next_frame().unwrap().unwrap(), "{\"tail\":1}");
         assert_eq!(decoder.buffered(), 0);
     }
 

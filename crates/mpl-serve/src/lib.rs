@@ -35,8 +35,9 @@
 //! `linear`, default `sdp-backtrack`), `alpha` (default 0.1), `executor`
 //! (`pool` | `serial`, default `pool`), `progress` (stream per-component
 //! ticks, default false), `verify` (server-side spacing re-check,
-//! default false) and `deadline_ms` (soft compute budget, measured from
-//! acceptance; omitted = none).  The `id` is an arbitrary client-chosen
+//! default false) and `deadline_ms` (soft budget, measured from the
+//! arrival of the frame's first byte, so receiving, parsing and planning
+//! the frame count against it; omitted = none).  The `id` is an arbitrary client-chosen
 //! string echoed on every frame about that submission.
 //!
 //! # Deadlines and cancellation

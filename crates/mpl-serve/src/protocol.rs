@@ -96,7 +96,8 @@ pub struct SubmitRequest {
     /// `tile_size`/`halo` (a typed `config` error).  Sources without a
     /// hierarchy (text layouts) degenerate to the ordinary memoized run.
     pub hier: bool,
-    /// Soft deadline in milliseconds, measured from acceptance.  Once it
+    /// Soft deadline in milliseconds, measured from the arrival of the
+    /// frame's first byte at the server.  Once it
     /// expires, components not yet started are skipped and running engines
     /// stop at their next amortised poll; the `result` frame then reports
     /// `deadline_exceeded` alongside the partial coloring.  `None` = no

@@ -33,6 +33,10 @@
 //! Cancellation: every submission carries an
 //! [`mpl_core::CancelToken`]; an optional `deadline_ms` arms its deadline,
 //! and a `cancel` frame from the submitting connection fires it explicitly.
+//! The deadline runs from the moment the frame's first byte arrived, so the
+//! time spent receiving, parsing and planning the frame counts against it:
+//! a budget that expires before the submission queues resolves with every
+//! component skipped.
 //! Fired tokens make not-yet-started components skip and running engines
 //! stop at their next amortised poll, so the submission still resolves with
 //! exactly one terminal frame: `cancelled` for an explicit cancel, or a
@@ -80,7 +84,7 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Locks a mutex, recovering the guard from a poisoned lock.  Every mutex
 /// in this server protects plain queue/flag state that is valid at every
@@ -685,14 +689,25 @@ fn read_frames(
 ) {
     let mut decoder = FrameDecoder::with_max_frame_len(shared.max_frame_len);
     let mut chunk = vec![0u8; 64 * 1024];
+    // When the oldest buffered byte — the first byte of the next frame —
+    // arrived, and when the latest read returned.
+    let mut frame_received = Instant::now();
+    let mut last_read = frame_received;
     loop {
         loop {
-            match decoder.next_frame() {
+            let received = frame_received;
+            let next = decoder.next_frame();
+            if !matches!(next, Ok(None)) {
+                // Every frame completed before the latest read, so what
+                // stays buffered behind this one arrived with that read.
+                frame_received = last_read;
+            }
+            match next {
                 Ok(Some(frame)) => {
                     if frame.trim().is_empty() {
                         continue;
                     }
-                    handle_frame(shared, writer, registry, &frame);
+                    handle_frame(shared, writer, registry, &frame, received);
                 }
                 Ok(None) => break,
                 Err(error @ (FrameError::NotUtf8 | FrameError::Oversized { .. })) => {
@@ -709,18 +724,26 @@ fn read_frames(
         }
         match stream.read(&mut chunk) {
             Ok(0) => return,
-            Ok(read) => decoder.push(&chunk[..read]),
+            Ok(read) => {
+                last_read = Instant::now();
+                if decoder.buffered() == 0 {
+                    frame_received = last_read;
+                }
+                decoder.push(&chunk[..read]);
+            }
             Err(error) if error.kind() == std::io::ErrorKind::Interrupted => continue,
             Err(_) => return,
         }
     }
 }
 
+/// Answers one frame whose first byte arrived at `received`.
 fn handle_frame(
     shared: &Shared,
     writer: &ConnectionWriter,
     registry: &CancelRegistry,
     frame: &str,
+    received: Instant,
 ) {
     let json = match Json::parse(frame) {
         Ok(json) => json,
@@ -781,10 +804,15 @@ fn handle_frame(
         Ok(Request::Submit(submit)) => match plan_submission(shared, &submit) {
             Err(error) => writer.send(&error.to_response(Some(submit.id))),
             Ok((plan, tiling, hierarchy)) => {
-                // The deadline clock starts at acceptance, after the
-                // planning work this connection already did.
-                let cancel = match submit.deadline_ms {
-                    Some(ms) => CancelToken::after(Duration::from_millis(ms)),
+                // The deadline clock started when the frame's first byte
+                // arrived, so receiving, parsing, decoding and planning it
+                // all count against the budget.  A budget too large to
+                // represent as an instant is no budget at all.
+                let deadline = submit
+                    .deadline_ms
+                    .and_then(|ms| received.checked_add(Duration::from_millis(ms)));
+                let cancel = match deadline {
+                    Some(deadline) => CancelToken::with_deadline(deadline),
                     None => CancelToken::new(),
                 };
                 // Register before queueing so a cancel racing right

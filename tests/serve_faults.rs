@@ -13,12 +13,15 @@
 //! * result frames are never dropped by output back-pressure;
 //! * cancellation takes effect before a not-yet-started component starts,
 //!   asserted with work counters (`bnb_nodes`, skip counts), not
-//!   wall-clock.
+//!   wall-clock;
+//! * a deadline runs from the frame's first byte, and a multi-megabyte
+//!   frame is ingested well within a generous one.
 
 use mpl_layout::{gen, io, Technology};
 use mpl_serve::{FrameDecoder, Json, Server, ServerConfig, ServerHandle};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
+use std::thread;
 use std::time::Duration;
 
 /// A low-level protocol driver: hand-built lines out, raw frames in.
@@ -369,6 +372,79 @@ fn a_deadline_storm_returns_well_formed_flagged_partial_results() {
     let frame = client.await_terminal("calm");
     assert_eq!(frame.get("type").and_then(Json::as_str), Some("result"));
     assert_eq!(frame.get("deadline_exceeded"), None);
+    handle.shutdown().expect("clean shutdown");
+}
+
+#[test]
+fn a_deadline_runs_from_the_frames_first_byte() {
+    let handle = spawn_server();
+    let mut client = RawClient::connect(handle.addr());
+
+    // The budget is the last field, so it arrives only after the stall:
+    // counted from the first byte it has expired before the frame is even
+    // complete, and every component is skipped before it starts.
+    let frame = submit_frame(
+        "trickle",
+        &row_layout_text("trickle", 73),
+        &[("deadline_ms", Json::Number(100.0))],
+    );
+    let (head, tail) = frame.split_at(frame.len() / 2);
+    client.send_bytes(head.as_bytes());
+    thread::sleep(Duration::from_millis(300));
+    client.send_line(tail);
+
+    let result = client.await_terminal("trickle");
+    assert_eq!(result.get("type").and_then(Json::as_str), Some("result"));
+    assert_eq!(result.get("deadline_exceeded"), Some(&Json::Bool(true)));
+    let components = field(&result, "components");
+    assert!(components > 0);
+    assert_eq!(field(&result, "components_skipped"), components);
+    assert_eq!(field(&result, "components_completed"), 0);
+
+    client.send_line("{\"type\":\"ping\"}");
+    let pong = client.recv();
+    assert_eq!(pong_counter(&pong, "deadline_exceeded_requests"), 1);
+    handle.shutdown().expect("clean shutdown");
+}
+
+#[test]
+fn a_multi_megabyte_frame_resolves_within_its_deadline() {
+    let handle = spawn_server();
+    let mut client = RawClient::connect(handle.addr());
+
+    // A small layout padded to ~4 MiB with comment lines that mix ASCII
+    // and multi-byte UTF-8: the layout parser skips comments, so nearly
+    // all of the cost is ingesting the frame.
+    let mut layout = row_layout_text("padded", 83);
+    let padding = "# padding: ascii text, é ß ü, 漢字 かな, 😀 🚀, and \\ \"quotes\"\n";
+    while layout.len() < 4 << 20 {
+        layout.push_str(padding);
+    }
+    let frame = submit_frame(
+        "padded",
+        &layout,
+        &[
+            ("verify", Json::Bool(true)),
+            ("deadline_ms", Json::Number(30_000.0)),
+        ],
+    );
+    assert!(frame.len() >= 4 << 20, "frame is {} bytes", frame.len());
+    client.send_line(&frame);
+
+    let result = client.await_terminal("padded");
+    assert_eq!(result.get("type").and_then(Json::as_str), Some("result"));
+    assert_eq!(result.get("deadline_exceeded"), None);
+    assert!(field(&result, "components") > 0);
+    assert_eq!(
+        result
+            .get("components_skipped")
+            .map_or(Some(0), Json::as_usize),
+        Some(0)
+    );
+    assert_eq!(
+        field(&result, "spacing_violations"),
+        field(&result, "conflicts")
+    );
     handle.shutdown().expect("clean shutdown");
 }
 
