@@ -77,15 +77,15 @@ impl DecompositionResult {
     }
 
     /// Assembles a result from a full-layout coloring produced outside the
-    /// plan's own batch engine — the `mpl-tile` crate's reconciliation pass
-    /// builds its merged result through this.
+    /// plan's own batch engine — [`run_partitioned`](crate::run_partitioned)
+    /// builds its merged results through this.
     ///
     /// `colors` must assign one color per graph vertex; the conflict/stitch
     /// cost is recomputed here over the whole graph with the plan's α, so
     /// the reported conflict count always agrees with what
     /// [`verify_spacing`](crate::verify_spacing) would find.  `components`
     /// follows the same per-task convention as an executed plan.
-    pub fn assemble(
+    pub(crate) fn assemble(
         plan: &DecompositionPlan,
         executor: &str,
         colors: Vec<u8>,

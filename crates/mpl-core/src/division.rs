@@ -403,12 +403,12 @@ pub fn permute_to_match_anchors(
         _ => {}
     }
     let k = k as usize;
-    // matches[c][t]: how many anchors currently colored c want target t.
-    let mut matches = vec![0usize; k * k];
+    // weight[c][t]: how many anchors currently colored c want target t.
+    let mut weight = vec![0.0f64; k * k];
     for (&anchor, &target) in anchors.iter().zip(targets) {
-        matches[colors[anchor] as usize * k + target as usize] += 1;
+        weight[colors[anchor] as usize * k + target as usize] += 1.0;
     }
-    let permutation = best_color_permutation(&matches, k);
+    let permutation = best_color_permutation(&weight, k);
     if permutation
         .iter()
         .enumerate()
@@ -421,16 +421,16 @@ pub fn permute_to_match_anchors(
     }
 }
 
-/// Finds the permutation π of `0..k` maximising `Σ_c matches[c][π(c)]` —
+/// Finds the permutation π of `0..k` maximising `Σ_c weight[c][π(c)]` —
 /// exhaustively for small K (at most 720 candidates for K ≤ 6), greedily
 /// above that.  Ties prefer the identity-most (lexicographically smallest)
 /// permutation so reconciliation is deterministic and a no-op when nothing
-/// is gained.
-fn best_color_permutation(matches: &[usize], k: usize) -> Vec<u8> {
-    let score = |perm: &[u8]| -> usize {
+/// is gained: all-zero and all-non-positive weights give the identity.
+pub(crate) fn best_color_permutation(weight: &[f64], k: usize) -> Vec<u8> {
+    let score = |perm: &[u8]| -> f64 {
         perm.iter()
             .enumerate()
-            .map(|(c, &t)| matches[c * k + t as usize])
+            .map(|(c, &t)| weight[c * k + t as usize])
             .sum()
     };
     if k <= 6 {
@@ -448,16 +448,21 @@ fn best_color_permutation(matches: &[usize], k: usize) -> Vec<u8> {
         }
         best
     } else {
-        // Greedy assignment by descending pair weight; leftovers keep their
-        // own color when possible.
-        let mut pairs: Vec<(usize, usize, usize)> = (0..k)
-            .flat_map(|c| (0..k).map(move |t| (matches[c * k + t], c, t)))
-            .filter(|&(w, _, _)| w > 0)
+        // Greedy assignment by descending positive pair weight; leftovers
+        // keep their own color when possible.
+        let mut pairs: Vec<(usize, usize)> = (0..k * k)
+            .map(|i| (i / k, i % k))
+            .filter(|&(c, t)| weight[c * k + t] > 0.0)
             .collect();
-        pairs.sort_by_key(|&(w, c, t)| (std::cmp::Reverse(w), c, t));
+        pairs.sort_by(|&(c1, t1), &(c2, t2)| {
+            weight[c2 * k + t2]
+                .total_cmp(&weight[c1 * k + t1])
+                .then(c1.cmp(&c2))
+                .then(t1.cmp(&t2))
+        });
         let mut permutation = vec![u8::MAX; k];
         let mut target_taken = vec![false; k];
-        for (_, c, t) in pairs {
+        for (c, t) in pairs {
             if permutation[c] == u8::MAX && !target_taken[t] {
                 permutation[c] = t as u8;
                 target_taken[t] = true;
@@ -826,6 +831,70 @@ mod tests {
         let mut colors = vec![0, 1];
         permute_to_match_anchors(&piece, &mut colors, &[0, 1], &[7, 5], 8);
         assert_eq!(colors, vec![7, 5]);
+    }
+
+    #[test]
+    fn color_permutations_maximise_weight_with_lexicographic_ties() {
+        let identity = |k: usize| (0..k as u8).collect::<Vec<u8>>();
+        let matrix = |k: usize, entries: &[(usize, usize, f64)]| {
+            let mut weight = vec![0.0; k * k];
+            for &(c, t, w) in entries {
+                weight[c * k + t] = w;
+            }
+            weight
+        };
+        let off_diagonal = |k: usize, w: f64| {
+            let mut weight = vec![w; k * k];
+            (0..k).for_each(|c| weight[c * k + c] = 0.0);
+            weight
+        };
+        let cases: Vec<(&str, usize, Vec<f64>, Vec<u8>)> = vec![
+            ("zero K=4", 4, matrix(4, &[]), identity(4)),
+            ("zero K=8", 8, matrix(8, &[]), identity(8)),
+            // Non-positive weights never beat the identity's zero score.
+            ("non-positive K=4", 4, off_diagonal(4, -1.0), identity(4)),
+            ("non-positive K=8", 8, off_diagonal(8, -1.0), identity(8)),
+            // The greedy branch only assigns positive pairs, so even a
+            // negative diagonal keeps the identity at K = 8 ...
+            ("negative diagonal K=8", 8, vec![-1.0; 64], identity(8)),
+            // ... while enumeration escapes it through the lexicographically
+            // first derangement at K = 4.
+            (
+                "negative diagonal K=4",
+                4,
+                matrix(4, &[(0, 0, -1.0), (1, 1, -1.0), (2, 2, -1.0), (3, 3, -1.0)]),
+                vec![1, 0, 3, 2],
+            ),
+            // A cross stitch (α) outweighs keeping a cross conflict.
+            (
+                "stitch over conflict K=4",
+                4,
+                matrix(4, &[(0, 0, -1.0), (0, 1, 0.1)]),
+                vec![1, 0, 2, 3],
+            ),
+            (
+                "stitch over conflict K=8",
+                8,
+                matrix(8, &[(0, 0, -1.0), (1, 2, 0.1), (2, 1, -1.0)]),
+                vec![0, 2, 1, 3, 4, 5, 6, 7],
+            ),
+            // Ties resolve to the lexicographically smallest permutation.
+            (
+                "tie K=4",
+                4,
+                matrix(4, &[(0, 2, 1.0), (0, 1, 1.0)]),
+                vec![1, 0, 2, 3],
+            ),
+            (
+                "tie K=8",
+                8,
+                matrix(8, &[(0, 5, 2.0), (0, 3, 2.0)]),
+                vec![3, 1, 2, 0, 4, 5, 6, 7],
+            ),
+        ];
+        for (name, k, weight, expected) in cases {
+            assert_eq!(best_color_permutation(&weight, k), expected, "{name}");
+        }
     }
 
     #[test]

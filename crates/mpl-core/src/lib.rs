@@ -61,9 +61,7 @@
 //! serial convenience wrapper.  Progress can be traced with a
 //! [`DecompositionObserver`]: batch started/finished bracketing plus
 //! per-layout and per-component callbacks, each tagged with the
-//! [`LayoutId`] it belongs to.  Custom executors written against the old
-//! single-layout trait shape still run through the deprecated
-//! `LayoutExecutor` + [`BatchAdapter`] shim.
+//! [`LayoutId`] it belongs to.
 //!
 //! # Quick start
 //!
@@ -118,6 +116,7 @@ pub mod division;
 mod error;
 mod executor;
 mod memo;
+mod partition;
 mod pipeline;
 mod report;
 mod session;
@@ -132,13 +131,10 @@ pub use cost::{coloring_cost, ColoringCost};
 pub use decomp_graph::{DecompositionGraph, VertexId};
 pub use decomposer::{Decomposer, DecompositionResult};
 pub use error::{ConfigError, DecomposeError};
-#[allow(deprecated)]
-pub use executor::LayoutExecutor;
-pub use executor::{
-    BatchAdapter, BatchWork, Executor, SerialExecutor, TaskWork, ThreadPoolExecutor,
-};
+pub use executor::{BatchWork, Executor, SerialExecutor, ThreadPoolExecutor};
 pub use memo::component_signatures;
 pub use mpl_memo::{MemoCache, MemoStats, Signature};
+pub use partition::{run_partitioned, Partition, Piece, ReconcileStats, SplitComponent};
 pub use pipeline::{
     ComponentOutcome, ComponentStats, ComponentTask, DecompositionObserver, DecompositionPlan,
     NoopObserver, ProgressObserver, ProgressSink,

@@ -135,6 +135,58 @@ pub struct ComponentStats {
     pub memo_hit: Option<bool>,
 }
 
+impl ComponentStats {
+    /// Statistics of `colors` on `problem`: the size and quality fields are
+    /// filled in, every work counter is zero, every flag unset and
+    /// `memo_hit` is `None`.
+    pub fn evaluated(index: usize, problem: &ComponentProblem, colors: &[u8]) -> Self {
+        let (conflicts, stitches, cost) = problem.evaluate(colors);
+        ComponentStats {
+            index,
+            vertex_count: problem.vertex_count(),
+            conflict_edge_count: problem.conflict_edges().len(),
+            stitch_edge_count: problem.stitch_edges().len(),
+            conflicts,
+            stitches,
+            cost,
+            time: Duration::ZERO,
+            division_time: Duration::ZERO,
+            bnb_nodes: 0,
+            hit_time_limit: false,
+            augmenting_paths: 0,
+            augmenting_path_bound: 0,
+            scratch_allocs: 0,
+            hidden_vertices: 0,
+            kernel_vertices: 0,
+            simplify_rounds: 0,
+            bound_improvements: 0,
+            cancelled: false,
+            deadline_exceeded: false,
+            skipped: false,
+            memo_hit: None,
+        }
+    }
+
+    /// Adds `other`'s work counters to this entry's and ORs its flags in;
+    /// the size, quality and `memo_hit` fields are left alone.
+    pub fn add_work(&mut self, other: &ComponentStats) {
+        self.time += other.time;
+        self.division_time += other.division_time;
+        self.bnb_nodes += other.bnb_nodes;
+        self.hit_time_limit |= other.hit_time_limit;
+        self.augmenting_paths += other.augmenting_paths;
+        self.augmenting_path_bound += other.augmenting_path_bound;
+        self.scratch_allocs += other.scratch_allocs;
+        self.hidden_vertices += other.hidden_vertices;
+        self.kernel_vertices += other.kernel_vertices;
+        self.simplify_rounds += other.simplify_rounds;
+        self.bound_improvements += other.bound_improvements;
+        self.cancelled |= other.cancelled;
+        self.deadline_exceeded |= other.deadline_exceeded;
+        self.skipped |= other.skipped;
+    }
+}
+
 /// The colored outcome of one [`ComponentTask`], produced by the per-task
 /// work function an [`Executor`] drives.
 #[derive(Debug, Clone)]
@@ -193,13 +245,16 @@ pub trait DecompositionObserver: Sync {
     }
 }
 
-/// An observer that ignores every event (the default for
-/// [`DecompositionPlan::execute`] and
-/// [`DecompositionSession::run`](crate::DecompositionSession::run)).
+/// An observer (and progress sink) that ignores every event: the default
+/// for [`DecompositionPlan::execute`],
+/// [`DecompositionSession::run`](crate::DecompositionSession::run) and
+/// [`run_partitioned`](crate::run_partitioned)'s front ends.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct NoopObserver;
 
 impl DecompositionObserver for NoopObserver {}
+
+impl ProgressSink for NoopObserver {}
 
 /// A per-layout progress consumer for streaming front ends.
 ///
@@ -220,6 +275,8 @@ pub trait ProgressSink: Sync {
     }
 
     /// A component of `layout` finished; `done` of `total` are complete.
+    /// In a [`run_partitioned`](crate::run_partitioned) run the unit is an
+    /// inner sub-plan instead: one piece, or the layout's resident batch.
     ///
     /// `done` is strictly increasing per layout (1, 2, …, `total`), even
     /// when components finish concurrently on a pool executor.
@@ -348,17 +405,11 @@ impl DecompositionPlan {
         &self.graph
     }
 
-    /// A clone of the shared graph handle, for drivers (like the `mpl-tile`
-    /// crate) that derive sub-plans over the same graph without copying it.
-    pub fn graph_shared(&self) -> Arc<DecompositionGraph> {
-        Arc::clone(&self.graph)
-    }
-
     /// Builds a plan whose tasks are hand-picked sub-problems of `graph`
     /// rather than its independent components.
     ///
-    /// This is the escape hatch the `mpl-tile` crate uses to route tile
-    /// windows of an oversized component through the ordinary batch engine:
+    /// This is how [`run_partitioned`](crate::run_partitioned) routes the
+    /// pieces of a split component through the ordinary batch engine:
     /// each `(problem, to_global)` pair becomes a [`ComponentTask`] (indexed
     /// in the order given), sharing `graph` with the parent plan so memo
     /// canonicalization and result assembly see the exact same geometry.
@@ -366,7 +417,7 @@ impl DecompositionPlan {
     /// problems must be induced sub-problems of it for the recomputed cost
     /// to mean anything.  `graph_time` is reported as zero: the parent plan
     /// already paid for the graph.
-    pub fn for_subproblems(
+    pub(crate) fn for_subproblems(
         decomposer: Decomposer,
         layout_name: String,
         graph: Arc<DecompositionGraph>,

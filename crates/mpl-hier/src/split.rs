@@ -18,47 +18,26 @@
 //! translation-identical, so the memo cache colors one master body and
 //! stamps every other instance.
 
-use mpl_core::{ComponentProblem, DecompositionPlan, VertexId};
+use crate::HierStats;
+use mpl_core::{DecompositionPlan, Partition, Piece, SplitComponent, VertexId};
 use mpl_layout::LayoutHierarchy;
 use std::collections::BTreeMap;
 
-/// One provenance class of a split component.
-#[derive(Debug)]
-pub(crate) struct SplitPiece {
-    /// The instance that placed this piece's geometry, or `None` for the
-    /// residual (top-level shapes and cross-instance merges).
-    pub origin: Option<usize>,
-    /// Component-local vertex ids of the piece, ascending.
-    pub locals: Vec<usize>,
-    /// The sub-problem induced by `locals`, ready for the batch engine.
-    pub problem: ComponentProblem,
-}
-
-/// A mixed-provenance component split into per-instance pieces.
-#[derive(Debug)]
-pub(crate) struct SplitComponent {
-    /// Index of the original task in its plan.
-    pub task_index: usize,
-    /// Provenance of every component-local vertex.
-    pub origin: Vec<Option<usize>>,
-    /// Instance pieces in ascending instance order, then the residual piece
-    /// (when any vertex is unattributed) — the deterministic order the
-    /// reconciler fixes them in.
-    pub pieces: Vec<SplitPiece>,
-}
-
-/// Classifies a plan's tasks into residents and split components.
+/// Classifies a plan's tasks into residents and split components, with the
+/// splitting counts of its [`HierStats`].
 ///
 /// Without a hierarchy every task is resident and the driver degenerates to
 /// the flat memoized path.
 pub(crate) fn classify(
     plan: &DecompositionPlan,
     hierarchy: Option<&LayoutHierarchy>,
-) -> (Vec<usize>, Vec<SplitComponent>) {
-    let mut resident = Vec::new();
-    let mut split = Vec::new();
+) -> (Partition, HierStats) {
+    let mut partition = Partition::default();
+    let mut stats = HierStats::default();
     let Some(hierarchy) = hierarchy.filter(|hierarchy| !hierarchy.is_trivial()) else {
-        return ((0..plan.tasks().len()).collect(), split);
+        partition.resident = (0..plan.tasks().len()).collect();
+        stats.resident_components = partition.resident.len();
+        return (partition, stats);
     };
     let graph = plan.graph();
     for task in plan.tasks() {
@@ -68,20 +47,26 @@ pub(crate) fn classify(
             .map(|&global| hierarchy.origin_of(graph.shape_of(VertexId(global))))
             .collect();
         if origin.windows(2).all(|pair| pair[0] == pair[1]) {
-            resident.push(task.index());
+            partition.resident.push(task.index());
         } else {
-            split.push(split_component(task.index(), task.problem(), origin));
+            partition
+                .split
+                .push(split_component(task.index(), &origin, &mut stats));
         }
     }
-    (resident, split)
+    stats.resident_components = partition.resident.len();
+    stats.split_components = partition.split.len();
+    (partition, stats)
 }
 
-/// Groups a mixed-provenance component's vertices by origin and induces one
-/// sub-problem per group.
+/// Groups a mixed-provenance component's vertices by origin: one piece per
+/// instance, in ascending instance order, then the residual piece (when any
+/// vertex is unattributed).  Pieces are disjoint, so each owns all of its
+/// vertices.
 fn split_component(
     task_index: usize,
-    problem: &ComponentProblem,
-    origin: Vec<Option<usize>>,
+    origin: &[Option<usize>],
+    stats: &mut HierStats,
 ) -> SplitComponent {
     let mut instances: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
     let mut residual = Vec::new();
@@ -91,23 +76,15 @@ fn split_component(
             None => residual.push(local),
         }
     }
+    stats.instance_pieces += instances.len();
+    stats.boundary_vertices += residual.len();
     let pieces = instances
-        .into_iter()
-        .map(|(instance, locals)| (Some(instance), locals))
-        .chain((!residual.is_empty()).then_some((None, residual)))
-        .map(|(origin, locals)| {
-            let (sub, original) = problem.induced(&locals);
-            debug_assert_eq!(original, locals);
-            SplitPiece {
-                origin,
-                locals,
-                problem: sub,
-            }
+        .into_values()
+        .chain((!residual.is_empty()).then_some(residual))
+        .map(|locals| Piece {
+            owned: locals.clone(),
+            locals,
         })
         .collect();
-    SplitComponent {
-        task_index,
-        origin,
-        pieces,
-    }
+    SplitComponent { task_index, pieces }
 }

@@ -2,11 +2,11 @@
 //! engine.
 
 use crate::fixtures::{bit_cell_array, BitArrayStyle};
-use crate::{run_hier, run_hier_observed, HierProgress};
+use crate::{run_hier, run_hier_observed};
 use mpl_core::verify::verify_spacing;
 use mpl_core::{
     ColorAlgorithm, ConfigError, Decomposer, DecomposerConfig, DecompositionSession, LayoutId,
-    MemoCache, SerialExecutor, ThreadPoolExecutor, TileConfig,
+    MemoCache, ProgressSink, SerialExecutor, ThreadPoolExecutor, TileConfig,
 };
 use mpl_geometry::Nm;
 use mpl_layout::{gen, LayoutHierarchy, Technology};
@@ -216,8 +216,8 @@ fn progress_reports_one_tick_per_inner_decomposition() {
         last: AtomicUsize,
         total: AtomicUsize,
     }
-    impl HierProgress for Counting {
-        fn piece_done(&self, layout: LayoutId, done: usize, total: usize) {
+    impl ProgressSink for Counting {
+        fn component_done(&self, layout: LayoutId, done: usize, total: usize) {
             assert_eq!(layout.index(), 0);
             assert!(done <= total);
             self.ticks.fetch_add(1, Ordering::Relaxed);

@@ -44,20 +44,20 @@
 //! for an expired deadline.  A reader that disconnects auto-cancels that
 //! connection's pending submissions.
 //!
-//! Submissions may opt into the halo-aware tiler (`tile_size` on the
-//! `submit` frame): such layouts decompose through
-//! [`mpl_tile::run_tiled_observed`], stream `tile_progress` frames instead
-//! of per-component `progress`, and report a `tiles` statistics object on
-//! their `result` frame.
-//!
-//! Submissions may instead opt into cell-level hierarchical decomposition
-//! (`hier` on the `submit` frame, mutually exclusive with tiling): GDS
-//! sources keep their instance provenance, decompose through
-//! [`mpl_hier::run_hier_observed`], stream `hier_progress` frames, and
-//! report a `hierarchy` statistics object on their `result` frame.
-//! Sources without a hierarchy (text layouts) degenerate to the ordinary
-//! memoized run.  `pong` frames carry lifetime `hier_runs`/`tile_runs`
-//! usage counters alongside the shared memo-cache statistics.
+//! Submissions may opt into one of two partitioners, mutually exclusive:
+//! the halo-aware tiler (`tile_size` on the `submit` frame, through
+//! [`mpl_tile::run_tiled_observed`]) or cell-level hierarchical
+//! decomposition (`hier`, through [`mpl_hier::run_hier_observed`]; GDS
+//! sources keep their instance provenance, and sources without a hierarchy
+//! such as text layouts degenerate to the ordinary memoized run).  Both
+//! only divide the layout and hand it to the one divide → color → merge
+//! pipeline in `mpl-core` ([`mpl_core::run_partitioned`]), so the two
+//! differ on the wire only in their names: such layouts stream
+//! `tile_progress` or `hier_progress` frames, one per finished piece or
+//! resident batch, instead of per-component `progress`, and report a
+//! `tiles` or `hierarchy` statistics object on their `result` frame.
+//! `pong` frames carry lifetime `hier_runs`/`tile_runs` usage counters
+//! alongside the shared memo-cache statistics.
 
 use crate::codec::{encode_frame, FrameDecoder, FrameError, DEFAULT_MAX_FRAME_LEN};
 use crate::json::Json;
@@ -77,7 +77,7 @@ use mpl_gds::{
 use mpl_geometry::Nm;
 use mpl_hier::HierStats;
 use mpl_layout::{io, Layout, LayoutHierarchy, Technology};
-use mpl_tile::{TileProgress, TileStats};
+use mpl_tile::TileStats;
 use std::collections::{HashMap, VecDeque};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -451,58 +451,19 @@ struct Active {
     registry: CancelRegistry,
 }
 
-/// Streams progress frames for one running batch.
+/// Streams one kind of progress frame for one running batch: `progress`
+/// for plain runs, `tile_progress` or `hier_progress` for partitioned ones.
 struct BatchSink<'a> {
     submissions: &'a HashMap<LayoutId, Active>,
+    frame: fn(String, usize, usize) -> Response,
 }
 
 impl ProgressSink for BatchSink<'_> {
     fn component_done(&self, layout: LayoutId, done: usize, total: usize) {
         if let Some(active) = self.submissions.get(&layout) {
             if active.submit.progress {
-                active.writer.send(&Response::Progress {
-                    id: active.submit.id.clone(),
-                    done,
-                    total,
-                });
-            }
-        }
-    }
-}
-
-/// Streams `tile_progress` frames for one running tiled batch.
-struct TileSink<'a> {
-    submissions: &'a HashMap<LayoutId, Active>,
-}
-
-impl TileProgress for TileSink<'_> {
-    fn tile_done(&self, layout: LayoutId, done: usize, total: usize) {
-        if let Some(active) = self.submissions.get(&layout) {
-            if active.submit.progress {
-                active.writer.send(&Response::TileProgress {
-                    id: active.submit.id.clone(),
-                    done,
-                    total,
-                });
-            }
-        }
-    }
-}
-
-/// Streams `hier_progress` frames for one running hierarchical batch.
-struct HierSink<'a> {
-    submissions: &'a HashMap<LayoutId, Active>,
-}
-
-impl mpl_hier::HierProgress for HierSink<'_> {
-    fn piece_done(&self, layout: LayoutId, done: usize, total: usize) {
-        if let Some(active) = self.submissions.get(&layout) {
-            if active.submit.progress {
-                active.writer.send(&Response::HierProgress {
-                    id: active.submit.id.clone(),
-                    done,
-                    total,
-                });
+                let id = active.submit.id.clone();
+                active.writer.send(&(self.frame)(id, done, total));
             }
         }
     }
@@ -1060,71 +1021,60 @@ fn run_batch(
             },
         );
     }
-    let results: Vec<Outcome> = if hier {
-        let sink = HierSink {
+    let results: Result<Vec<Outcome>, ConfigError> = if hier {
+        let sink = BatchSink {
             submissions: &submissions,
+            frame: |id, done, total| Response::HierProgress { id, done, total },
         };
-        match mpl_hier::run_hier_observed(session, executor, &sink) {
-            Ok(results) => {
-                shared
-                    .hier_runs
-                    .fetch_add(results.len() as u64, Ordering::Relaxed);
-                results
-                    .into_iter()
-                    .map(|(id, hier)| (id, hier.result, None, Some(hier_payload(&hier.stats))))
-                    .collect()
-            }
-            Err(error) => {
-                // Submission-time validation makes this unreachable in
-                // practice; answer every member typed rather than panic.
-                let error = ServeError::Config(error);
-                for active in submissions.values() {
-                    lock_recovering(&active.registry).remove(&active.submit.id);
-                    active
-                        .writer
-                        .send(&error.to_response(Some(active.submit.id.clone())));
-                }
-                session.clear();
-                return;
-            }
-        }
+        mpl_hier::run_hier_observed(session, executor, &sink).map(|results| {
+            shared
+                .hier_runs
+                .fetch_add(results.len() as u64, Ordering::Relaxed);
+            results
+                .into_iter()
+                .map(|(id, hier)| (id, hier.result, None, Some(hier_payload(&hier.stats))))
+                .collect()
+        })
     } else if session.tiling().is_some() {
-        let sink = TileSink {
+        let sink = BatchSink {
             submissions: &submissions,
+            frame: |id, done, total| Response::TileProgress { id, done, total },
         };
-        match mpl_tile::run_tiled_observed(session, executor, &sink) {
-            Ok(results) => {
-                shared
-                    .tile_runs
-                    .fetch_add(results.len() as u64, Ordering::Relaxed);
-                results
-                    .into_iter()
-                    .map(|(id, tiled)| (id, tiled.result, Some(tile_payload(&tiled.stats)), None))
-                    .collect()
-            }
-            Err(error) => {
-                // Submission-time validation makes this unreachable in
-                // practice; answer every member typed rather than panic.
-                let error = ServeError::Config(error);
-                for active in submissions.values() {
-                    lock_recovering(&active.registry).remove(&active.submit.id);
-                    active
-                        .writer
-                        .send(&error.to_response(Some(active.submit.id.clone())));
-                }
-                session.clear();
-                return;
-            }
-        }
+        mpl_tile::run_tiled_observed(session, executor, &sink).map(|results| {
+            shared
+                .tile_runs
+                .fetch_add(results.len() as u64, Ordering::Relaxed);
+            results
+                .into_iter()
+                .map(|(id, tiled)| (id, tiled.result, Some(tile_payload(&tiled.stats)), None))
+                .collect()
+        })
     } else {
         let sink = BatchSink {
             submissions: &submissions,
+            frame: |id, done, total| Response::Progress { id, done, total },
         };
-        session
+        Ok(session
             .run_observed(executor, &ProgressObserver::new(&sink))
             .into_iter()
             .map(|(id, result)| (id, result, None, None))
-            .collect()
+            .collect())
+    };
+    let results = match results {
+        Ok(results) => results,
+        Err(error) => {
+            // Submission-time validation makes this unreachable in
+            // practice; answer every member typed rather than panic.
+            let error = ServeError::Config(error);
+            for active in submissions.values() {
+                lock_recovering(&active.registry).remove(&active.submit.id);
+                active
+                    .writer
+                    .send(&error.to_response(Some(active.submit.id.clone())));
+            }
+            session.clear();
+            return;
+        }
     };
     for (id, result, tiles, hierarchy) in results {
         let active = &submissions[&id];

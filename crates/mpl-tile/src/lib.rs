@@ -15,33 +15,29 @@
 //!    expanded by a conflict-radius halo plus the one-hop edge closure of
 //!    its owned vertices, so no conflict or stitch edge is invisible to
 //!    the piece owning either endpoint.
-//! 3. **Decompose** — every piece becomes an independent sub-plan
-//!    ([`DecompositionPlan::for_subproblems`]) drained through one shared
-//!    [`DecompositionSession`] queue, so the thread pool and the
-//!    translation-canonical memo cache apply per tile for free.
-//! 4. **Reconcile** — tiles merge deterministically in row-major order:
-//!    the mismatch-minimising color permutation aligns each tile with the
-//!    vertices already fixed (free — permutations preserve all intra-tile
-//!    cost), then a bounded greedy repair pass re-colors boundary-strip
-//!    vertices that strictly lower the global cost.
+//! 3. **Decompose and reconcile** — the partition goes to
+//!    [`run_partitioned`], the one divide → color → merge pipeline it
+//!    shares with `mpl-hier`: every piece is an independent sub-problem
+//!    drained through one session queue (so the thread pool and the
+//!    translation-canonical memo cache apply per tile), and pieces merge
+//!    in row-major window order.  The mismatch-minimising color permutation
+//!    aligns each tile with the halo vertices earlier tiles already fixed
+//!    (free — permutations preserve all intra-tile cost), then a bounded
+//!    greedy repair pass re-colors seam vertices that strictly lower the
+//!    global cost.
 //!
-//! The merged result is rebuilt over the **full** layout graph
-//! ([`DecompositionResult::assemble`](mpl_core::DecompositionResult::assemble)),
-//! so its conflict count always agrees with the independent
+//! The merged result is rebuilt over the **full** layout graph, so its
+//! conflict count always agrees with the independent
 //! [`verify_spacing`](mpl_core::verify_spacing) checker — tiling can never
 //! silently hide a violation.
 //!
-//! [`DecompositionPlan::for_subproblems`]: mpl_core::DecompositionPlan::for_subproblems
-//! [`DecompositionSession`]: mpl_core::DecompositionSession
+//! [`run_partitioned`]: mpl_core::run_partitioned
 
 mod driver;
 mod grid;
-mod reconcile;
 mod shard;
 
-pub use driver::{
-    run_tiled, run_tiled_observed, NoTileProgress, TileProgress, TileStats, TiledLayoutResult,
-};
+pub use driver::{run_tiled, run_tiled_observed, TileStats, TiledLayoutResult};
 pub use grid::TileGrid;
 
 #[cfg(test)]

@@ -4,7 +4,7 @@
 //! and never sharded — it flows through the ordinary batch engine, which is
 //! what makes tiled runs bit-identical to untiled ones on layouts where
 //! every component fits a tile.  A component spanning several windows is a
-//! *giant*: each occupied window becomes one [`TilePiece`] holding the
+//! *giant*: each occupied window becomes one [`Piece`] holding the
 //! window's owned vertices plus two kinds of context,
 //!
 //! - the **geometric halo**: every vertex whose polygon bounding box lies
@@ -15,49 +15,9 @@
 //!   geometry overhangs its owner window.
 
 use crate::grid::TileGrid;
-use mpl_core::{ComponentProblem, ComponentTask, DecompositionGraph, VertexId};
+use mpl_core::{ComponentTask, DecompositionGraph, Piece, SplitComponent, VertexId};
 use mpl_geometry::Nm;
-
-/// One window of a sharded giant component.
-#[derive(Debug)]
-pub(crate) struct TilePiece {
-    /// Window coordinates in the layout grid.
-    pub ix: usize,
-    pub iy: usize,
-    /// Vertices (component-local ids, ascending) owned by this window; the
-    /// reconciler keeps exactly these from the piece's coloring.
-    pub owned: Vec<usize>,
-    /// Owned vertices plus halo context (component-local ids, ascending).
-    pub piece: Vec<usize>,
-    /// The sub-problem induced by `piece`, ready for the batch engine.
-    pub problem: ComponentProblem,
-}
-
-/// A giant component task sharded into tile pieces.
-#[derive(Debug)]
-pub(crate) struct GiantShard {
-    /// Index of the original task in its plan.
-    pub task_index: usize,
-    /// The owner window of every component-local vertex.
-    pub owner: Vec<(usize, usize)>,
-    /// Occupied windows in row-major `(iy, ix)` order — the deterministic
-    /// order the reconciler visits them in.
-    pub tiles: Vec<TilePiece>,
-}
-
-/// Conflict+stitch adjacency lists of a component problem (local ids).
-pub(crate) fn adjacency(problem: &ComponentProblem) -> Vec<Vec<usize>> {
-    let mut adjacency = vec![Vec::new(); problem.vertex_count()];
-    for &(u, v) in problem
-        .conflict_edges()
-        .iter()
-        .chain(problem.stitch_edges())
-    {
-        adjacency[u].push(v);
-        adjacency[v].push(u);
-    }
-    adjacency
-}
+use std::collections::BTreeMap;
 
 /// The owner window of every vertex of `task`, via its polygon-bbox center.
 pub(crate) fn owners(
@@ -71,7 +31,8 @@ pub(crate) fn owners(
         .collect()
 }
 
-/// Shards `task` into per-window pieces with the given halo.
+/// Shards `task` into one piece per occupied window, in row-major `(iy,
+/// ix)` order — the deterministic order the reconciler fixes them in.
 ///
 /// The caller has already established that the task spans several windows
 /// (`owner` is not constant).
@@ -79,17 +40,15 @@ pub(crate) fn shard_giant(
     grid: &TileGrid,
     graph: &DecompositionGraph,
     task: &ComponentTask,
-    owner: Vec<(usize, usize)>,
+    owner: &[(usize, usize)],
     halo: Nm,
-) -> GiantShard {
+) -> SplitComponent {
     let problem = task.problem();
     let n = problem.vertex_count();
-    let adjacency = adjacency(problem);
 
     // Occupied windows in row-major order, each with its owned vertices
     // (ascending, because locals are visited in order).
-    let mut owned: std::collections::BTreeMap<(usize, usize), Vec<usize>> =
-        std::collections::BTreeMap::new();
+    let mut owned: BTreeMap<(usize, usize), Vec<usize>> = BTreeMap::new();
     for (local, &(ix, iy)) in owner.iter().enumerate() {
         owned.entry((iy, ix)).or_default().push(local);
     }
@@ -101,7 +60,7 @@ pub(crate) fn shard_giant(
         .collect();
 
     let mut in_piece = vec![false; n];
-    let tiles = owned
+    let pieces = owned
         .into_iter()
         .map(|((iy, ix), owned)| {
             let core = grid.core(ix, iy);
@@ -110,7 +69,8 @@ pub(crate) fn shard_giant(
                 in_piece[local] = true;
                 // Edge closure: neighbours of owned vertices, even when the
                 // geometric halo misses their (far-away) bbox center side.
-                for &neighbour in &adjacency[local] {
+                let neighbours = problem.conflict_adjacency().neighbors(local).iter();
+                for &neighbour in neighbours.chain(problem.stitch_adjacency().neighbors(local)) {
                     in_piece[neighbour] = true;
                 }
             }
@@ -123,22 +83,13 @@ pub(crate) fn shard_giant(
                     in_piece[local] = true;
                 }
             }
-            let piece: Vec<usize> = (0..n).filter(|&local| in_piece[local]).collect();
-            let (sub, original) = problem.induced(&piece);
-            debug_assert_eq!(original, piece);
-            TilePiece {
-                ix,
-                iy,
-                owned,
-                piece,
-                problem: sub,
-            }
+            let locals = (0..n).filter(|&local| in_piece[local]).collect();
+            Piece { locals, owned }
         })
         .collect();
 
-    GiantShard {
+    SplitComponent {
         task_index: task.index(),
-        owner,
-        tiles,
+        pieces,
     }
 }

@@ -1,10 +1,10 @@
 //! End-to-end tests of the tiled driver against the untiled batch engine.
 
-use crate::{run_tiled, run_tiled_observed, TileProgress};
+use crate::{run_tiled, run_tiled_observed};
 use mpl_core::verify::verify_spacing;
 use mpl_core::{
     ColorAlgorithm, ConfigError, Decomposer, DecomposerConfig, DecompositionSession, LayoutId,
-    MemoCache, SerialExecutor, ThreadPoolExecutor, TileConfig,
+    MemoCache, ProgressSink, SerialExecutor, ThreadPoolExecutor, TileConfig,
 };
 use mpl_geometry::Nm;
 use mpl_layout::{gen, Technology};
@@ -172,8 +172,8 @@ fn progress_reports_one_tick_per_inner_decomposition() {
         last: AtomicUsize,
         total: AtomicUsize,
     }
-    impl TileProgress for Counting {
-        fn tile_done(&self, layout: LayoutId, done: usize, total: usize) {
+    impl ProgressSink for Counting {
+        fn component_done(&self, layout: LayoutId, done: usize, total: usize) {
             assert_eq!(layout.index(), 0);
             assert!(done <= total);
             self.ticks.fetch_add(1, Ordering::Relaxed);

@@ -101,16 +101,17 @@ use mpl_core::{
     extract_masks, json_escape, rebalance_masks, verify_spacing, ColorAlgorithm, ComponentStats,
     ComponentTask, ConfigError, Decomposer, DecomposerConfig, DecompositionObserver,
     DecompositionPlan, DecompositionResult, DecompositionSession, Executor, LayoutId, MemoCache,
-    MemoStats, SerialExecutor, StitchConfig, ThreadPoolExecutor, TileConfig, VertexId,
+    MemoStats, ProgressSink, SerialExecutor, StitchConfig, ThreadPoolExecutor, TileConfig,
+    VertexId,
 };
 use mpl_gds::{LayerMap, ReadOptions};
 use mpl_geometry::Nm;
-use mpl_hier::{HierProgress, HierStats};
+use mpl_hier::HierStats;
 use mpl_layout::{gen::IscasCircuit, io::LayoutFormat, Layout, LayoutHierarchy, Technology};
 use mpl_serve::{
     Client, ExecutorChoice, Json, LayoutSource, Request, Response, ResultPayload, SubmitRequest,
 };
-use mpl_tile::{TileProgress, TileStats};
+use mpl_tile::TileStats;
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -541,27 +542,21 @@ impl DecompositionObserver for StderrProgress {
     }
 }
 
-/// Streams one stderr line per finished tile sub-problem (`--progress`
-/// with `--tile-size`), tagged with the layout it belongs to.
-struct StderrTileProgress {
+/// Streams one stderr line per finished piece of a partitioned run
+/// (`--progress` with `--tile-size` or `--hier`), tagged with the
+/// partitioner and the layout it belongs to.
+struct StderrPieceProgress {
+    kind: &'static str,
     names: Vec<String>,
 }
 
-impl TileProgress for StderrTileProgress {
-    fn tile_done(&self, layout: LayoutId, done: usize, total: usize) {
-        eprintln!("[tile {done}/{total}] {}", self.names[layout.index()]);
-    }
-}
-
-/// Streams one stderr line per finished hierarchical piece (`--progress`
-/// with `--hier`), tagged with the layout it belongs to.
-struct StderrHierProgress {
-    names: Vec<String>,
-}
-
-impl HierProgress for StderrHierProgress {
-    fn piece_done(&self, layout: LayoutId, done: usize, total: usize) {
-        eprintln!("[hier {done}/{total}] {}", self.names[layout.index()]);
+impl ProgressSink for StderrPieceProgress {
+    fn component_done(&self, layout: LayoutId, done: usize, total: usize) {
+        eprintln!(
+            "[{} {done}/{total}] {}",
+            self.kind,
+            self.names[layout.index()]
+        );
     }
 }
 
@@ -1376,7 +1371,8 @@ fn main() -> ExitCode {
     );
     let (results, tile_stats, hier_stats): BatchOutcome = if options.hier {
         let outcome = if options.progress {
-            let progress = StderrHierProgress {
+            let progress = StderrPieceProgress {
+                kind: "hier",
                 names: layout_names(),
             };
             mpl_hier::run_hier_observed(&session, executor.as_ref(), &progress)
@@ -1402,7 +1398,8 @@ fn main() -> ExitCode {
         }
     } else if tiling.is_some() {
         let outcome = if options.progress {
-            let progress = StderrTileProgress {
+            let progress = StderrPieceProgress {
+                kind: "tile",
                 names: layout_names(),
             };
             mpl_tile::run_tiled_observed(&session, executor.as_ref(), &progress)
