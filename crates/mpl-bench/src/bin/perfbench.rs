@@ -30,12 +30,12 @@
 //!   must match the flat memoized coloring bit for bit.
 //!
 //! The report is emitted as `BENCH_perf.json` (schema `mpl-bench/perf-v5`).
-//! Wall-clock numbers are informative only — the dev container is
-//! single-CPU and noisy — while the work counters are deterministic and are
-//! what CI pins (`--check`): per-layout engine counters, the memo case's
-//! warm hit rate (≥ 90 %) and zero warm-vs-cold coloring diffs, and the
-//! tile and hier cases' zero post-reconciliation conflicts, clean spacing
-//! checks, and bit-identical controls.  Under `--check` the untiled and
+//! Wall-clock numbers are informative only — they vary with the machine
+//! and are noisy on a shared 2-CPU box — while the work counters are
+//! deterministic and are what CI pins (`--check`): per-layout engine
+//! counters, the memo case's warm hit rate (≥ 90 %) and zero warm-vs-cold
+//! coloring diffs, and the tile and hier cases' zero post-reconciliation
+//! conflicts, clean spacing checks, and bit-identical controls.  Under `--check` the untiled and
 //! flat comparison runs of the tile and hier cases are skipped (they are
 //! wall-clock-only information).
 //!

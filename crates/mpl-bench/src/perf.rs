@@ -39,8 +39,8 @@
 //!   the merged coloring, and an all-isolated control array that must
 //!   match the flat memoized coloring bit for bit.
 //!
-//! Wall-clock numbers vary with the machine (the dev container is
-//! single-CPU); the counters are deterministic, which is why
+//! Wall-clock numbers vary with the machine (and are noisy on a shared
+//! 2-CPU box); the counters are deterministic, which is why
 //! [`PerfReport::check_ceilings`] pins ceilings on counters only — for the
 //! memo cases, a warm hit rate of at least 90 % and zero coloring diffs.
 

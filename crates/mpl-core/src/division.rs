@@ -241,6 +241,17 @@ pub(crate) fn biconnected_blocks_with(
 /// whose max-flow queries stop after K augmenting paths (at most
 /// `|vertices| · K` augmentations in total instead of the O(n·F) of full
 /// Gusfield max-flows).
+///
+/// Each query is also local.  Vertices are visited in one BFS order of the
+/// union graph, and the query for `t` is sourced at a neighbour of `t`
+/// already certified into the current piece (the piece's first vertex when
+/// there is none).  This gives the same pieces: "min-cut ≥ K" is an
+/// equivalence relation, so a certified neighbour is ≥ K-connected to `t`
+/// exactly when the piece's first vertex is.  The flow network zeroes only
+/// the arcs its previous query pushed on, and its BFS stops at the sink.  A
+/// certification thus costs work near `t` (a few hundred arc visits on a
+/// degree-8 contact lattice at K = 4), and only the `pieces − 1` failing
+/// queries sweep the whole union graph.
 pub fn ghtree_pieces(problem: &ComponentProblem, vertices: &[usize]) -> Vec<Vec<usize>> {
     ghtree_pieces_with(problem, vertices, &mut DivisionScratch::default())
 }

@@ -29,6 +29,22 @@ struct FlowEdge {
 /// while keeping every buffer's capacity, so batch workloads build one
 /// network per component without re-allocating.
 ///
+/// Repeated queries on one network cost work near their endpoints, not the
+/// whole graph:
+///
+/// * each query zeroes only the arcs the previous query pushed flow on
+///   (a full zeroing happens only after an adjacency rebuild or an
+///   explicit [`MaxFlow::reset`]);
+/// * each Dinic BFS clears only the `level`/`iter` entries the previous
+///   BFS labelled, and stops as soon as the sink is labelled.  Every
+///   vertex closer to the source than the sink is labelled by then, so the
+///   level graph still holds every shortest augmenting path and the pushed
+///   flow is the same as with a full sweep.
+///
+/// A capped query whose source and sink are close therefore scans a ball
+/// around them, while one that ends below its cap still pays for the final,
+/// exhaustive BFS (and [`MaxFlow::min_cut_side`] for its reachability).
+///
 /// # Example
 ///
 /// ```
@@ -51,10 +67,19 @@ pub struct MaxFlow {
     offsets: Vec<usize>,
     arcs: Vec<usize>,
     adjacency_stale: bool,
+    /// BFS levels, `-1` for every vertex outside `queue`.
     level: Vec<i32>,
     iter: Vec<usize>,
+    /// The vertices the last BFS labelled, in BFS order.
     queue: Vec<usize>,
+    /// Arcs whose pair was pushed on since the last reset (each pair listed
+    /// by one of its arcs at least once).
+    touched: Vec<usize>,
     augmenting_paths: u64,
+    /// Arcs zeroed, or visited by BFS, DFS, residual reachability and
+    /// [`MaxFlow::arc_heads`] — the locality gate's work counter.
+    #[cfg(test)]
+    arcs_scanned: std::cell::Cell<u64>,
 }
 
 impl Default for MaxFlow {
@@ -76,7 +101,10 @@ impl MaxFlow {
             level: vec![-1; n],
             iter: vec![0; n],
             queue: Vec::new(),
+            touched: Vec::new(),
             augmenting_paths: 0,
+            #[cfg(test)]
+            arcs_scanned: std::cell::Cell::new(0),
         }
     }
 
@@ -91,6 +119,8 @@ impl MaxFlow {
         self.level.resize(n, -1);
         self.iter.clear();
         self.iter.resize(n, 0);
+        self.queue.clear();
+        self.touched.clear();
     }
 
     /// Builds a unit-capacity flow network from an undirected [`Graph`];
@@ -122,6 +152,33 @@ impl MaxFlow {
     /// [`MaxFlow::clear`]).
     pub fn augmenting_paths(&self) -> u64 {
         self.augmenting_paths
+    }
+
+    /// Cumulative arcs zeroed or visited since construction.
+    #[cfg(test)]
+    pub(crate) fn arcs_scanned(&self) -> u64 {
+        self.arcs_scanned.get()
+    }
+
+    #[inline]
+    fn count_arcs(&self, _arcs: usize) {
+        #[cfg(test)]
+        self.arcs_scanned
+            .set(self.arcs_scanned.get() + _arcs as u64);
+    }
+
+    /// The heads of the arcs leaving `v`, in CSR order: for a unit graph,
+    /// the neighbours of `v` (once per incident edge).  Builds the CSR
+    /// first if edges changed.
+    pub(crate) fn arc_heads(&mut self, v: usize) -> impl Iterator<Item = usize> + '_ {
+        self.ensure_adjacency();
+        let this = &*self;
+        this.arcs[this.offsets[v]..this.offsets[v + 1]]
+            .iter()
+            .map(move |&e| {
+                this.count_arcs(1);
+                this.edges[e].to
+            })
     }
 
     /// Adds a directed arc `from -> to` with the given capacity (and its
@@ -171,10 +228,13 @@ impl MaxFlow {
     }
 
     /// Rebuilds the arc CSR if edges changed since the last flow query.
+    /// The rebuild already costs O(E), so it also zeroes every arc: after
+    /// an edge change the flow state never rests on the touched-arc list.
     fn ensure_adjacency(&mut self) {
         if !self.adjacency_stale {
             return;
         }
+        self.reset();
         let n = self.vertex_count;
         self.offsets.clear();
         self.offsets.resize(n + 1, 0);
@@ -207,22 +267,39 @@ impl MaxFlow {
         self.edges[edge].capacity - self.edges[edge].flow
     }
 
+    /// Labels the residual level graph from `source`, stopping as soon as
+    /// `sink` is labelled, and rewinds the DFS cursor of every labelled
+    /// vertex.  Only the previous BFS's labels are cleared first, so the
+    /// cost is the size of the explored ball, not of the network.
     fn bfs(&mut self, source: usize, sink: usize) -> bool {
-        self.level.iter_mut().for_each(|l| *l = -1);
+        for &v in &self.queue {
+            self.level[v] = -1;
+        }
         self.queue.clear();
         self.level[source] = 0;
         self.queue.push(source);
         let mut head = 0;
-        while head < self.queue.len() {
+        'sweep: while head < self.queue.len() {
             let u = self.queue[head];
             head += 1;
-            for &e in &self.arcs[self.offsets[u]..self.offsets[u + 1]] {
+            for (scanned, &e) in self.arcs[self.offsets[u]..self.offsets[u + 1]]
+                .iter()
+                .enumerate()
+            {
                 let to = self.edges[e].to;
                 if self.residual(e) > 0 && self.level[to] < 0 {
                     self.level[to] = self.level[u] + 1;
                     self.queue.push(to);
+                    if to == sink {
+                        self.count_arcs(scanned + 1);
+                        break 'sweep;
+                    }
                 }
             }
+            self.count_arcs(self.offsets[u + 1] - self.offsets[u]);
+        }
+        for &v in &self.queue {
+            self.iter[v] = 0;
         }
         self.level[sink] >= 0
     }
@@ -233,10 +310,14 @@ impl MaxFlow {
         }
         while self.iter[u] < self.offsets[u + 1] - self.offsets[u] {
             let e = self.arcs[self.offsets[u] + self.iter[u]];
+            self.count_arcs(1);
             let to = self.edges[e].to;
             if self.residual(e) > 0 && self.level[to] == self.level[u] + 1 {
                 let amount = self.dfs(to, sink, pushed.min(self.residual(e)));
                 if amount > 0 {
+                    if self.edges[e].flow == 0 {
+                        self.touched.push(e);
+                    }
                     self.edges[e].flow += amount;
                     self.edges[e ^ 1].flow -= amount;
                     return amount;
@@ -252,6 +333,20 @@ impl MaxFlow {
         for edge in &mut self.edges {
             edge.flow = 0;
         }
+        self.count_arcs(self.edges.len());
+        self.touched.clear();
+    }
+
+    /// Zeroes the flow on the arcs the previous query pushed on: the same
+    /// state as [`MaxFlow::reset`], at the cost of the previous query's
+    /// paths instead of the whole network.
+    fn reset_touched(&mut self) {
+        self.count_arcs(2 * self.touched.len());
+        for &e in &self.touched {
+            self.edges[e].flow = 0;
+            self.edges[e ^ 1].flow = 0;
+        }
+        self.touched.clear();
     }
 
     /// Computes the maximum flow (equivalently, the minimum cut value) from
@@ -271,10 +366,15 @@ impl MaxFlow {
     /// With unit capacities every augmenting path carries one unit, so the
     /// query performs at most `cap` augmentations — the early exit that
     /// turns the (K−1)-cut division's "is the min cut ≥ K?" questions from
-    /// O(E·F) into O(E·K) each.  When the returned value is **less** than
-    /// `cap` the flow is maximal and [`MaxFlow::min_cut_side`] is a genuine
-    /// minimum cut; when it equals `cap` the flow may have stopped early
-    /// and the residual reachability is meaningless.
+    /// O(E·F) into O(E·K) each.  Only the arcs the previous query pushed on
+    /// are zeroed first, and each BFS stops at the sink, so when `source`
+    /// and `sink` are neighbours that reach `cap` the query's cost is the
+    /// few BFS layers around them, not `E`.
+    ///
+    /// When the returned value is **less** than `cap` the flow is maximal
+    /// and [`MaxFlow::min_cut_side`] is a genuine minimum cut; when it
+    /// equals `cap` the flow may have stopped early and the residual
+    /// reachability is meaningless.
     ///
     /// # Panics
     ///
@@ -288,10 +388,9 @@ impl MaxFlow {
         );
         assert!(cap >= 0, "flow cap must be non-negative");
         self.ensure_adjacency();
-        self.reset();
+        self.reset_touched();
         let mut total = 0;
         while total < cap && self.bfs(source, sink) {
-            self.iter.iter_mut().for_each(|i| *i = 0);
             while total < cap {
                 let pushed = self.dfs(source, sink, cap - total);
                 if pushed == 0 {
@@ -325,6 +424,7 @@ impl MaxFlow {
         let mut stack = vec![source];
         side[source] = true;
         while let Some(u) = stack.pop() {
+            self.count_arcs(self.offsets[u + 1] - self.offsets[u]);
             for &e in &self.arcs[self.offsets[u]..self.offsets[u + 1]] {
                 let to = self.edges[e].to;
                 if self.residual(e) > 0 && !side[to] {
@@ -499,6 +599,88 @@ mod tests {
         assert_eq!(f.max_flow(0, 2), 2);
         assert_eq!(f.max_flow(0, 2), 2);
         assert_eq!(f.max_flow(2, 0), 2);
+    }
+
+    #[test]
+    fn interleaved_queries_match_a_fresh_network() {
+        // One network answers capped and full queries on random pairs, with
+        // edges added between queries; each answer (value, paths pushed and
+        // residual side) must equal that of a network built fresh from the
+        // same edge list, so no flow, level or cursor state leaks between
+        // queries.
+        let mut seed: u64 = 0x5DEECE66D;
+        let mut next = move |bound: usize| {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            (seed % bound as u64) as usize
+        };
+        // (from, to, capacity, undirected)
+        let fresh = |n: usize, edges: &[(usize, usize, i64, bool)]| {
+            let mut f = MaxFlow::new(n);
+            for &(u, v, c, undirected) in edges {
+                if undirected {
+                    f.add_undirected_edge(u, v, c);
+                } else {
+                    f.add_edge(u, v, c);
+                }
+            }
+            f
+        };
+        for case in 0..12 {
+            let n = 5 + case % 7;
+            let mut edges = Vec::new();
+            for _ in 0..2 * n {
+                let (u, v) = (next(n), next(n));
+                if u != v {
+                    edges.push((u, v, 1 + next(3) as i64, next(4) != 0));
+                }
+            }
+            let mut reused = fresh(n, &edges);
+            for step in 0..60 {
+                let s = next(n);
+                let t = (s + 1 + next(n - 1)) % n;
+                match next(6) {
+                    0 => {
+                        let (u, v) = (next(n), next(n));
+                        if u != v {
+                            let edge = (u, v, 1 + next(3) as i64, next(2) == 0);
+                            edges.push(edge);
+                            if edge.3 {
+                                reused.add_undirected_edge(u, v, edge.2);
+                            } else {
+                                reused.add_edge(u, v, edge.2);
+                            }
+                        }
+                        continue;
+                    }
+                    1 => reused.reset(),
+                    _ => {}
+                }
+                let mut want = fresh(n, &edges);
+                let full = next(3) == 0;
+                let cap = 1 + next(5) as i64;
+                let (before, got, expected) = if full {
+                    (
+                        reused.augmenting_paths(),
+                        reused.max_flow(s, t),
+                        want.max_flow(s, t),
+                    )
+                } else {
+                    let before = reused.augmenting_paths();
+                    let got = reused.max_flow_capped(s, t, cap);
+                    (before, got, want.max_flow_capped(s, t, cap))
+                };
+                let at = format!("case {case} step {step} ({s}, {t}) full={full} cap={cap}");
+                assert_eq!(got, expected, "{at}");
+                assert_eq!(
+                    reused.augmenting_paths() - before,
+                    want.augmenting_paths(),
+                    "{at}"
+                );
+                assert_eq!(reused.min_cut_side(s), want.min_cut_side(s), "{at}");
+            }
+        }
     }
 
     #[test]
