@@ -616,7 +616,7 @@ fn run_kernel_cases() -> Result<Vec<KernelPerfCase>, String> {
     // so violations touching reinserted vertices are classified purely
     // geometrically — independent of the pipeline's own bookkeeping.
     let fringe_floor = Nm(150);
-    let in_fringe = |vertex| plan.graph().polygon(vertex).bounding_box().ylo() >= fringe_floor;
+    let in_fringe = |vertex| plan.graph().rect(vertex).ylo() >= fringe_floor;
     let reinsertion_conflicts = violations
         .iter()
         .filter(|violation| in_fringe(violation.a) || in_fringe(violation.b))

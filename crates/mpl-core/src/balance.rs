@@ -56,12 +56,12 @@ pub fn rebalance_masks(graph: &DecompositionGraph, colors: &mut [u8]) -> Balance
 
     // Visit the largest features first: moving them has the biggest effect.
     let mut order: Vec<usize> = (0..graph.vertex_count()).collect();
-    order.sort_by_key(|&v| std::cmp::Reverse(graph.polygon(VertexId(v)).area_upper_bound()));
+    order.sort_by_key(|&v| std::cmp::Reverse(graph.rect(VertexId(v)).area()));
 
     let mut moves = 0usize;
     for &vertex in &order {
         let current = colors[vertex] as usize;
-        let area = graph.polygon(VertexId(vertex)).area_upper_bound();
+        let area = graph.rect(VertexId(vertex)).area();
         // Masks blocked by a conflict neighbour.
         let mut blocked = vec![false; k];
         for &neighbor in graph.conflict_neighbors(vertex) {

@@ -1,7 +1,7 @@
 //! Decomposition-graph construction (Definition 1 of the paper).
 
-use crate::stitch::{split_at_stitches, StitchConfig};
-use mpl_geometry::{GridIndex, Nm, Polygon};
+use crate::stitch::{split_at_stitches, split_candidate, StitchConfig};
+use mpl_geometry::{GridIndex, Nm, Polygon, Rect};
 use mpl_graph::Csr;
 use mpl_layout::{Layout, ShapeId, Technology};
 use std::fmt;
@@ -48,12 +48,25 @@ pub struct DecompositionGraph {
     k: usize,
     min_s: Nm,
     shape_of: Vec<ShapeId>,
-    polygons: Vec<Polygon>,
+    rects: Vec<Rect>,
     conflict_edges: Vec<(usize, usize)>,
     stitch_edges: Vec<(usize, usize)>,
     color_friendly_pairs: Vec<(usize, usize)>,
     conflict_adjacency: Csr,
     stitch_adjacency: Csr,
+    #[cfg(test)]
+    work: BuildWork,
+}
+
+/// Hardware-independent work done by [`DecompositionGraph::build`].
+#[cfg(test)]
+#[derive(Debug, Clone, Copy, Default)]
+struct BuildWork {
+    /// Neighbour queries of the shape pass: one per splittable shape.
+    shape_queries: usize,
+    /// Candidates the segment pass examined (every segment within the
+    /// color-friendly distance of a segment, itself included).
+    segment_candidates: usize,
 }
 
 impl DecompositionGraph {
@@ -62,6 +75,24 @@ impl DecompositionGraph {
     /// The minimum coloring distance and the color-friendly band are derived
     /// from `technology` (see [`Technology::coloring_distance`]); stitch
     /// candidates are generated according to `stitch`.
+    ///
+    /// Two passes over flat [`GridIndex`]es with cells of the color-friendly
+    /// distance:
+    ///
+    /// 1. *Shape pass.*  Every shape becomes one vertex per segment, in
+    ///    layout order.  Only a shape that stitching could split (stitching
+    ///    enabled, one rectangle, at least two minimum segments long) asks
+    ///    the shape index for the rectangles of other shapes within
+    ///    `min_s`, which cast the shadows that place its stitches;
+    ///    consecutive segments of one shape are joined by stitch edges.
+    /// 2. *Segment pass.*  For every vertex in order, the segment index
+    ///    visits the segments within the color-friendly distance; each pair
+    ///    of different shapes is recorded once, from its lower vertex, as a
+    ///    conflict edge (distance `< min_s`) or a color-friendly pair.
+    ///
+    /// Edge lists come out in the index's visiting order (see
+    /// [`GridIndex`]), which makes the graph — and every coloring computed
+    /// from it — a deterministic function of the layout's shape order.
     pub fn build(
         layout: &Layout,
         technology: &Technology,
@@ -70,73 +101,76 @@ impl DecompositionGraph {
     ) -> Self {
         let min_s = technology.coloring_distance(k);
         let friendly = technology.color_friendly_distance(k);
+        let cell = friendly.max(Nm(1));
+        #[cfg(test)]
+        let mut work = BuildWork::default();
 
-        // Spatial index over whole shapes, used both for stitch-candidate
-        // shadowing and for conflict-edge construction.
-        let mut shape_index = GridIndex::new(friendly.max(Nm(1)));
-        for shape in layout.iter() {
-            for rect in shape.polygon().rects() {
-                shape_index.insert(shape.id().index(), *rect);
-            }
-        }
-
-        // Pass 1: split every shape at its legal stitch positions.  One
-        // query/peer buffer pair serves every shape (no per-shape Vecs).
-        let mut shape_of: Vec<ShapeId> = Vec::new();
-        let mut polygons: Vec<Polygon> = Vec::new();
+        // Pass 1: split every shape at its legal stitch positions, straight
+        // into the vertex list.  The shape index is built on first use, so a
+        // layout without splittable shapes never builds it.
+        let mut shape_index: Option<GridIndex> = None;
+        let mut shape_of: Vec<ShapeId> = Vec::with_capacity(layout.shape_count());
+        let mut rects: Vec<Rect> = Vec::with_capacity(layout.shape_count());
         let mut stitch_edges: Vec<(usize, usize)> = Vec::new();
-        let mut neighbor_ids: Vec<usize> = Vec::new();
-        let mut neighbor_polys: Vec<&Polygon> = Vec::new();
+        let mut neighbors: Vec<Rect> = Vec::new();
         for shape in layout.iter() {
-            let bbox = shape.polygon().bounding_box();
-            shape_index.query_within_into(&bbox, min_s, &mut neighbor_ids);
-            neighbor_polys.clear();
-            neighbor_polys.extend(
-                neighbor_ids
-                    .iter()
-                    .filter(|&&id| id != shape.id().index())
-                    .map(|&id| layout.shape(ShapeId(id)).polygon())
-                    .filter(|poly| poly.within_distance(shape.polygon(), min_s)),
-            );
-            let segments = split_at_stitches(shape.polygon(), &neighbor_polys, min_s, stitch);
-            let first_vertex = polygons.len();
-            for (offset, rect) in segments.iter().enumerate() {
+            neighbors.clear();
+            if let Some(rect) = split_candidate(shape.polygon(), stitch) {
+                let own = shape.id().index();
+                shape_index
+                    .get_or_insert_with(|| {
+                        GridIndex::build(
+                            cell,
+                            layout.iter().flat_map(|shape| {
+                                let id = shape.id().index();
+                                shape.polygon().rects().iter().map(move |rect| (id, *rect))
+                            }),
+                        )
+                    })
+                    .visit_within(&rect, min_s, |id, other, _| {
+                        if id != own {
+                            neighbors.push(*other);
+                        }
+                    });
+                #[cfg(test)]
+                {
+                    work.shape_queries += 1;
+                }
+            }
+            let first_vertex = rects.len();
+            split_at_stitches(shape.polygon(), &neighbors, min_s, stitch, &mut rects);
+            for vertex in first_vertex..rects.len() {
                 shape_of.push(shape.id());
-                polygons.push(Polygon::rect(*rect));
-                if offset > 0 {
-                    stitch_edges.push((first_vertex + offset - 1, first_vertex + offset));
+                if vertex > first_vertex {
+                    stitch_edges.push((vertex - 1, vertex));
                 }
             }
         }
 
         // Pass 2: conflict edges and color-friendly pairs between segments of
-        // different shapes.
-        let mut segment_index = GridIndex::new(friendly.max(Nm(1)));
-        for (vertex, polygon) in polygons.iter().enumerate() {
-            for rect in polygon.rects() {
-                segment_index.insert(vertex, *rect);
-            }
-        }
+        // different shapes, classified from the distance the index computed.
+        let segment_index = GridIndex::build(cell, rects.iter().copied().enumerate());
+        let min_s_squared = min_s.squared();
         let mut conflict_edges: Vec<(usize, usize)> = Vec::new();
         let mut color_friendly_pairs: Vec<(usize, usize)> = Vec::new();
-        let mut candidates: Vec<usize> = Vec::new();
-        for (vertex, polygon) in polygons.iter().enumerate() {
-            let bbox = polygon.bounding_box();
-            segment_index.query_within_into(&bbox, friendly, &mut candidates);
-            for &other in &candidates {
-                if other <= vertex || shape_of[other] == shape_of[vertex] {
-                    continue;
+        for (vertex, rect) in rects.iter().enumerate() {
+            segment_index.visit_within(rect, friendly, |other, _, distance_squared| {
+                #[cfg(test)]
+                {
+                    work.segment_candidates += 1;
                 }
-                let other_polygon = &polygons[other];
-                if polygon.within_distance(other_polygon, min_s) {
+                if other <= vertex || shape_of[other] == shape_of[vertex] {
+                    return;
+                }
+                if distance_squared < min_s_squared {
                     conflict_edges.push((vertex, other));
-                } else if polygon.within_distance_band(other_polygon, min_s, friendly) {
+                } else {
                     color_friendly_pairs.push((vertex, other));
                 }
-            }
+            });
         }
 
-        let n = polygons.len();
+        let n = rects.len();
         let conflict_adjacency = Csr::from_edges(n, &conflict_edges);
         let stitch_adjacency = Csr::from_edges(n, &stitch_edges);
 
@@ -144,12 +178,14 @@ impl DecompositionGraph {
             k,
             min_s,
             shape_of,
-            polygons,
+            rects,
             conflict_edges,
             stitch_edges,
             color_friendly_pairs,
             conflict_adjacency,
             stitch_adjacency,
+            #[cfg(test)]
+            work,
         }
     }
 
@@ -165,7 +201,7 @@ impl DecompositionGraph {
 
     /// Number of vertices (stitch segments).
     pub fn vertex_count(&self) -> usize {
-        self.polygons.len()
+        self.rects.len()
     }
 
     /// The layout shape a vertex belongs to.
@@ -173,9 +209,15 @@ impl DecompositionGraph {
         self.shape_of[vertex.index()]
     }
 
-    /// The geometry of a vertex.
-    pub fn polygon(&self, vertex: VertexId) -> &Polygon {
-        &self.polygons[vertex.index()]
+    /// The geometry of a vertex: every vertex is one rectangle.
+    pub fn rect(&self, vertex: VertexId) -> Rect {
+        self.rects[vertex.index()]
+    }
+
+    /// The geometry of a vertex as a one-rectangle polygon, built on each
+    /// call; [`DecompositionGraph::rect`] reads it without allocating.
+    pub fn polygon(&self, vertex: VertexId) -> Polygon {
+        Polygon::rect(self.rect(vertex))
     }
 
     /// All conflict edges, as pairs of dense vertex indices.
@@ -263,7 +305,6 @@ impl fmt::Display for DecompositionGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mpl_geometry::Rect;
     use mpl_layout::gen;
 
     fn tech() -> Technology {
@@ -372,6 +413,87 @@ mod tests {
             graph.to_string(),
             "DecompositionGraph(|V|=0, |CE|=0, |SE|=0)"
         );
+    }
+
+    /// A row layout at the scale of the ISCAS S-series circuits
+    /// (~14k shapes).
+    fn chip_scale_layout() -> Layout {
+        let config = gen::RowLayoutConfig {
+            name: "chip".into(),
+            rows: 30,
+            cells_per_row: 86,
+            contact_density: 0.68,
+            wire_density: 0.6,
+            k5_clusters: 6,
+            dense_strips: 2,
+            strip_length: 16,
+            seed: 0x5eed,
+        };
+        gen::generate_row_layout(&config, &tech())
+    }
+
+    #[test]
+    fn shape_pass_queries_only_splittable_shapes() {
+        let layout = chip_scale_layout();
+        let config = StitchConfig::default();
+        let splittable = layout
+            .iter()
+            .filter(|shape| {
+                let rects = shape.polygon().rects();
+                rects.len() == 1
+                    && rects[0].width().max(rects[0].height()) >= config.min_segment_length * 2
+            })
+            .count();
+        let graph = DecompositionGraph::build(&layout, &tech(), 4, &config);
+        assert_eq!(graph.work.shape_queries, splittable);
+        assert!(
+            splittable * 5 < layout.shape_count(),
+            "{splittable} of {} shapes are wires",
+            layout.shape_count()
+        );
+        assert!(!graph.stitch_edges().is_empty());
+        let whole = DecompositionGraph::build(&layout, &tech(), 4, &StitchConfig::disabled());
+        assert_eq!(whole.work.shape_queries, 0);
+    }
+
+    #[test]
+    fn segment_pass_work_is_linear_in_its_output() {
+        // Every candidate the segment pass examines is the vertex itself,
+        // one end of a conflict or color-friendly pair (each pair is met
+        // from both ends), or a nearby segment of the same shape, of which
+        // these layouts have at most one per vertex on average: so twice
+        // the output bounds it.  (Measured: 1.7–1.8× on both layouts.)
+        let lattice = gen::contact_array(&tech(), 48, 48, Nm(70));
+        for (name, layout) in [("row", chip_scale_layout()), ("lattice", lattice)] {
+            for k in [4, 5] {
+                let graph =
+                    DecompositionGraph::build(&layout, &tech(), k, &StitchConfig::default());
+                let output = graph.vertex_count()
+                    + graph.conflict_edges().len()
+                    + graph.color_friendly_pairs().len();
+                let examined = graph.work.segment_candidates;
+                assert!(
+                    examined <= 2 * output,
+                    "{name} K={k}: {examined} candidates for {output} vertices and pairs"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn contacts_billions_of_nanometres_apart_build_a_graph() {
+        // Two conflicting pairs at opposite corners of a ±2·10⁹ nm extent:
+        // the flat index stores only the cells they cover.
+        let far = 2_000_000_000;
+        let mut builder = Layout::builder("far-apart");
+        builder.add_contact(Nm(-far), Nm(-far), Nm(20));
+        builder.add_contact(Nm(-far + 60), Nm(-far), Nm(20));
+        builder.add_contact(Nm(far - 80), Nm(far - 20), Nm(20));
+        builder.add_contact(Nm(far - 20), Nm(far - 20), Nm(20));
+        let layout = builder.build();
+        let graph = DecompositionGraph::build(&layout, &tech(), 4, &StitchConfig::default());
+        assert_eq!(graph.conflict_edges(), &[(0, 1), (2, 3)]);
+        assert_eq!(graph.independent_components().len(), 2);
     }
 
     #[test]

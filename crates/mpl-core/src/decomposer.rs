@@ -175,7 +175,7 @@ impl DecompositionResult {
             .map(|mask| Layout::builder(format!("{}.mask{mask}", self.layout_name)))
             .collect();
         for (vertex, &color) in self.colors.iter().enumerate() {
-            builders[color as usize].add_polygon(self.graph.polygon(VertexId(vertex)).clone());
+            builders[color as usize].add_rect(self.graph.rect(VertexId(vertex)));
         }
         builders
             .into_iter()

@@ -47,12 +47,8 @@ pub(crate) fn canonicalize_task(
         .to_global()
         .iter()
         .map(|&global| {
-            plan.graph()
-                .polygon(VertexId(global))
-                .rects()
-                .iter()
-                .map(|rect| (rect.xlo().0, rect.ylo().0, rect.xhi().0, rect.yhi().0))
-                .collect()
+            let rect = plan.graph().rect(VertexId(global));
+            vec![(rect.xlo().0, rect.ylo().0, rect.xhi().0, rect.yhi().0)]
         })
         .collect();
     canonicalize(&ComponentView {

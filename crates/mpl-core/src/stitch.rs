@@ -54,36 +54,40 @@ impl StitchConfig {
     }
 }
 
-/// Splits `shape` into stitch-connected segments given the polygons of its
-/// conflict neighbours.
+/// The single rectangle of `shape` if [`split_at_stitches`] may split it:
+/// stitching is enabled, the shape is one rectangle, and it is long enough
+/// to hold two printable segments.  Every other shape stays whole whatever
+/// its neighbours, so graph construction skips their neighbour query.
+pub(crate) fn split_candidate(shape: &Polygon, config: &StitchConfig) -> Option<Rect> {
+    let [rect] = shape.rects() else {
+        return None;
+    };
+    let length = rect.width().max(rect.height());
+    (config.enabled && length >= config.min_segment_length * 2).then_some(*rect)
+}
+
+/// Splits `shape` into stitch-connected segments given the rectangles of
+/// the other features near it, appending the ordered sub-rectangles to
+/// `segments` (one rectangle when no legal stitch exists).
 ///
-/// Returns the ordered list of sub-rectangles (length 1 when no legal stitch
-/// exists).  Only single-rectangle features are split; multi-rectangle
-/// polygons and minimum-size contacts are returned unchanged — this matches
-/// the behaviour of row-structure decomposers where stitches live on wire
+/// Neighbour rectangles at `min_s` or farther are ignored; their order does
+/// not matter.  Only single-rectangle features are split (see
+/// [`split_candidate`]); multi-rectangle polygons and minimum-size contacts
+/// are appended unchanged, one segment per rectangle — this matches the
+/// behaviour of row-structure decomposers where stitches live on wire
 /// segments.
-pub fn split_at_stitches(
+pub(crate) fn split_at_stitches(
     shape: &Polygon,
-    neighbors: &[&Polygon],
+    neighbors: &[Rect],
     min_s: Nm,
     config: &StitchConfig,
-) -> Vec<Rect> {
-    let whole = || shape.rects().to_vec();
-    if !config.enabled || shape.rect_count() != 1 {
-        return whole();
-    }
-    let rect = shape.rects()[0];
-    let horizontal = rect.width() >= rect.height();
-    let length = if horizontal {
-        rect.width()
-    } else {
-        rect.height()
+    segments: &mut Vec<Rect>,
+) {
+    let Some(rect) = split_candidate(shape, config) else {
+        segments.extend_from_slice(shape.rects());
+        return;
     };
-    // A feature must be long enough to hold two printable segments.
-    if length < config.min_segment_length * 2 || neighbors.is_empty() {
-        return whole();
-    }
-
+    let horizontal = rect.width() >= rect.height();
     let span = if horizontal {
         rect.x_interval()
     } else {
@@ -96,7 +100,6 @@ pub fn split_at_stitches(
     // patterning decomposers.
     let shadows: Vec<Interval> = neighbors
         .iter()
-        .flat_map(|poly| poly.rects().iter())
         .filter(|other| rect.within_distance(other, min_s))
         .map(|other| {
             let iv = if horizontal {
@@ -111,7 +114,8 @@ pub fn split_at_stitches(
         })
         .collect();
     if shadows.is_empty() {
-        return whole();
+        segments.push(rect);
+        return;
     }
 
     let gaps = Interval::complement_within(span, &shadows);
@@ -132,19 +136,18 @@ pub fn split_at_stitches(
     candidates.sort_by_key(|&(length, _)| std::cmp::Reverse(length));
     candidates.truncate(config.max_stitches_per_feature);
     if candidates.is_empty() {
-        return whole();
+        segments.push(rect);
+        return;
     }
 
     let mut cuts: Vec<Nm> = candidates.into_iter().map(|(_, cut)| cut).collect();
     cuts.sort();
-    let mut segments = Vec::with_capacity(cuts.len() + 1);
     let mut start = span.lo();
     for cut in cuts {
         segments.push(segment(rect, horizontal, start, cut));
         start = cut;
     }
     segments.push(segment(rect, horizontal, start, span.hi()));
-    segments
 }
 
 fn segment(rect: Rect, horizontal: bool, from: Nm, to: Nm) -> Rect {
@@ -167,21 +170,29 @@ mod tests {
         Polygon::rect(rect(a, b, c, d))
     }
 
+    fn split(shape: &Polygon, neighbors: &[Rect], config: &StitchConfig) -> Vec<Rect> {
+        let mut segments = vec![rect(-9, -9, -1, -1)];
+        split_at_stitches(shape, neighbors, MIN_S, config, &mut segments);
+        // The buffer is appended to, never cleared.
+        assert_eq!(segments.remove(0), rect(-9, -9, -1, -1));
+        segments
+    }
+
     const MIN_S: Nm = Nm(80);
 
     #[test]
     fn contacts_are_never_split() {
         let contact = poly(0, 0, 20, 20);
-        let neighbor = poly(0, 40, 20, 60);
-        let parts = split_at_stitches(&contact, &[&neighbor], MIN_S, &StitchConfig::default());
+        let neighbor = rect(0, 40, 20, 60);
+        let parts = split(&contact, &[neighbor], &StitchConfig::default());
         assert_eq!(parts, vec![rect(0, 0, 20, 20)]);
     }
 
     #[test]
     fn disabled_config_returns_whole_shape() {
         let wire = poly(0, 0, 400, 20);
-        let neighbor = poly(0, 60, 20, 80);
-        let parts = split_at_stitches(&wire, &[&neighbor], MIN_S, &StitchConfig::disabled());
+        let neighbor = rect(0, 60, 20, 80);
+        let parts = split(&wire, &[neighbor], &StitchConfig::disabled());
         assert_eq!(parts.len(), 1);
     }
 
@@ -191,24 +202,24 @@ mod tests {
         // margin the shadow is [-20 .. 40], so the gap [40 .. 400] hosts a
         // stitch at its centre x = 220.
         let wire = poly(0, 0, 400, 20);
-        let neighbor = poly(0, 60, 20, 80);
-        let parts = split_at_stitches(&wire, &[&neighbor], MIN_S, &StitchConfig::default());
+        let neighbor = rect(0, 60, 20, 80);
+        let parts = split(&wire, &[neighbor], &StitchConfig::default());
         assert_eq!(parts, vec![rect(0, 0, 220, 20), rect(220, 0, 400, 20)]);
     }
 
     #[test]
     fn fully_shadowed_wire_has_no_stitch() {
         let wire = poly(0, 0, 200, 20);
-        let neighbor = poly(0, 60, 200, 80);
-        let parts = split_at_stitches(&wire, &[&neighbor], MIN_S, &StitchConfig::default());
+        let neighbor = rect(0, 60, 200, 80);
+        let parts = split(&wire, &[neighbor], &StitchConfig::default());
         assert_eq!(parts.len(), 1);
     }
 
     #[test]
     fn neighbours_outside_the_coloring_distance_are_ignored() {
         let wire = poly(0, 0, 400, 20);
-        let far = poly(0, 300, 20, 320);
-        let parts = split_at_stitches(&wire, &[&far], MIN_S, &StitchConfig::default());
+        let far = rect(0, 300, 20, 320);
+        let parts = split(&wire, &[far], &StitchConfig::default());
         assert_eq!(parts.len(), 1);
     }
 
@@ -217,33 +228,33 @@ mod tests {
         // Neighbours near both ends leave a wide central gap plus the outer
         // margins; the two widest legal gaps host the stitches.
         let wire = poly(0, 0, 800, 20);
-        let left = poly(0, 60, 20, 80);
-        let right = poly(780, 60, 800, 80);
+        let left = rect(0, 60, 20, 80);
+        let right = rect(780, 60, 800, 80);
         let config = StitchConfig::default();
-        let parts = split_at_stitches(&wire, &[&left, &right], MIN_S, &config);
+        let parts = split(&wire, &[left, right], &config);
         assert_eq!(parts.len(), 2); // one legal gap (the centre), hence one cut
         let config_many = StitchConfig {
             max_stitches_per_feature: 4,
             ..config
         };
-        let parts_many = split_at_stitches(&wire, &[&left, &right], MIN_S, &config_many);
+        let parts_many = split(&wire, &[left, right], &config_many);
         assert_eq!(parts_many.len(), 2);
     }
 
     #[test]
     fn vertical_wires_split_along_y() {
         let wire = poly(0, 0, 20, 400);
-        let neighbor = poly(60, 0, 80, 20);
-        let parts = split_at_stitches(&wire, &[&neighbor], MIN_S, &StitchConfig::default());
+        let neighbor = rect(60, 0, 80, 20);
+        let parts = split(&wire, &[neighbor], &StitchConfig::default());
         assert_eq!(parts, vec![rect(0, 0, 20, 220), rect(0, 220, 20, 400)]);
     }
 
     #[test]
     fn segments_cover_the_original_wire_exactly() {
         let wire = poly(0, 0, 600, 20);
-        let n1 = poly(100, 60, 140, 80);
-        let n2 = poly(420, -60, 460, -40);
-        let parts = split_at_stitches(&wire, &[&n1, &n2], MIN_S, &StitchConfig::default());
+        let n1 = rect(100, 60, 140, 80);
+        let n2 = rect(420, -60, 460, -40);
+        let parts = split(&wire, &[n1, n2], &StitchConfig::default());
         let total: i64 = parts.iter().map(Rect::area).sum();
         assert_eq!(total, 600 * 20);
         for pair in parts.windows(2) {
@@ -254,16 +265,16 @@ mod tests {
     #[test]
     fn short_wires_are_not_split() {
         let wire = poly(0, 0, 35, 20);
-        let neighbor = poly(0, 60, 20, 80);
-        let parts = split_at_stitches(&wire, &[&neighbor], MIN_S, &StitchConfig::default());
+        let neighbor = rect(0, 60, 20, 80);
+        let parts = split(&wire, &[neighbor], &StitchConfig::default());
         assert_eq!(parts.len(), 1);
     }
 
     #[test]
     fn multi_rect_polygons_are_not_split() {
         let ell = Polygon::from_rects(vec![rect(0, 0, 200, 20), rect(0, 0, 20, 200)]).unwrap();
-        let neighbor = poly(100, 60, 120, 80);
-        let parts = split_at_stitches(&ell, &[&neighbor], MIN_S, &StitchConfig::default());
+        let neighbor = rect(100, 60, 120, 80);
+        let parts = split(&ell, &[neighbor], &StitchConfig::default());
         assert_eq!(parts.len(), 2); // the original two rectangles, unsplit
     }
 }

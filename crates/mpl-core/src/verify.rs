@@ -16,7 +16,7 @@
 //!   consistency check exercised by the integration tests.
 
 use crate::{DecompositionGraph, VertexId};
-use mpl_geometry::{GridIndex, Nm, Polygon};
+use mpl_geometry::{GridIndex, Nm};
 use std::fmt;
 
 /// The geometry assigned to one mask (one exposure).
@@ -90,7 +90,7 @@ pub fn extract_masks(graph: &DecompositionGraph, colors: &[u8]) -> Vec<Mask> {
     for (vertex, &color) in colors.iter().enumerate() {
         let mask = &mut masks[color as usize];
         mask.vertices.push(VertexId(vertex));
-        mask.area += graph.polygon(VertexId(vertex)).area_upper_bound();
+        mask.area += graph.rect(VertexId(vertex)).area();
     }
     masks
 }
@@ -132,36 +132,27 @@ pub fn verify_spacing(
     );
     // Rebuild a spatial index from scratch rather than trusting the graph's
     // conflict edges: the whole point is an independent check.
-    let mut index = GridIndex::new(min_s.max(Nm(1)));
-    for vertex in 0..graph.vertex_count() {
-        for rect in graph.polygon(VertexId(vertex)).rects() {
-            index.insert(vertex, *rect);
-        }
-    }
+    let rect = |vertex| graph.rect(VertexId(vertex));
+    let index = GridIndex::build(
+        min_s.max(Nm(1)),
+        (0..graph.vertex_count()).map(|vertex| (vertex, rect(vertex))),
+    );
     let mut violations = Vec::new();
     for vertex in 0..graph.vertex_count() {
-        let polygon: &Polygon = graph.polygon(VertexId(vertex));
-        let bbox = polygon.bounding_box();
-        for other in index.query_within(&bbox, min_s) {
-            if other <= vertex {
-                continue;
+        index.visit_within(&rect(vertex), min_s, |other, _, distance_squared| {
+            if other <= vertex
+                || graph.shape_of(VertexId(other)) == graph.shape_of(VertexId(vertex))
+                || colors[other] != colors[vertex]
+            {
+                return;
             }
-            if graph.shape_of(VertexId(other)) == graph.shape_of(VertexId(vertex)) {
-                continue;
-            }
-            if colors[other] != colors[vertex] {
-                continue;
-            }
-            let other_polygon = graph.polygon(VertexId(other));
-            if polygon.within_distance(other_polygon, min_s) {
-                violations.push(SpacingViolation {
-                    a: VertexId(vertex),
-                    b: VertexId(other),
-                    mask: colors[vertex] as usize,
-                    distance_squared: polygon.distance_squared(other_polygon),
-                });
-            }
-        }
+            violations.push(SpacingViolation {
+                a: VertexId(vertex),
+                b: VertexId(other),
+                mask: colors[vertex] as usize,
+                distance_squared,
+            });
+        });
     }
     violations
 }

@@ -231,27 +231,27 @@ fn touching_groups(polygons: &[Polygon]) -> Vec<Vec<usize>> {
     }
 
     // Spatial index over component rectangles keeps this near-linear.
-    let mut index = GridIndex::new(Nm(256));
-    let mut rect_owner: Vec<usize> = Vec::new();
-    for (poly_index, polygon) in polygons.iter().enumerate() {
-        for &rect in polygon.rects() {
-            index.insert(rect_owner.len(), rect);
-            rect_owner.push(poly_index);
-        }
-    }
+    let index = GridIndex::build(
+        Nm(256),
+        polygons
+            .iter()
+            .enumerate()
+            .flat_map(|(poly_index, polygon)| {
+                polygon.rects().iter().map(move |&rect| (poly_index, rect))
+            }),
+    );
     for (poly_index, polygon) in polygons.iter().enumerate() {
         for rect in polygon.rects() {
-            for candidate in index.query_within(rect, Nm(1)) {
-                let other = rect_owner[candidate];
+            index.visit_within(rect, Nm(1), |other, _, _| {
                 if other == poly_index {
-                    continue;
+                    return;
                 }
                 let (ra, rb) = (find(&mut parent, poly_index), find(&mut parent, other));
                 if ra != rb && polygons[poly_index].touches(&polygons[other]) {
                     let (lo, hi) = (ra.min(rb), ra.max(rb));
                     parent[hi] = lo;
                 }
-            }
+            });
         }
     }
 

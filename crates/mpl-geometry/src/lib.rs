@@ -14,10 +14,11 @@
 //!   workspace.
 //! * [`Interval`] — 1-D interval arithmetic used for projection/overlap tests
 //!   when generating stitch candidates.
-//! * [`GridIndex`] — a uniform-grid spatial index answering "which shapes are
-//!   within distance `d` of this shape" queries in roughly constant time per
-//!   neighbour, which keeps decomposition-graph construction linear in the
-//!   number of features.
+//! * [`GridIndex`] — a bulk-built, flat uniform-grid spatial index answering
+//!   "which shapes are within distance `d` of this shape" queries in roughly
+//!   constant time per neighbour and in a fixed visiting order, which keeps
+//!   decomposition-graph construction linear in the number of features and
+//!   its edge lists deterministic.
 //!
 //! # Example
 //!
@@ -47,5 +48,5 @@ pub use interval::Interval;
 pub use point::Point;
 pub use polygon::{EmptyPolygonError, Polygon};
 pub use rect::Rect;
-pub use spatial::GridIndex;
+pub use spatial::{GridIndex, QueryIds};
 pub use union::union_rects;

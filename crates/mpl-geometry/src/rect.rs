@@ -191,17 +191,24 @@ impl Rect {
     }
 
     /// The horizontal gap between the x-projections (zero if they overlap).
+    #[inline]
     pub fn x_gap(&self, other: &Rect) -> Nm {
-        self.x_interval().gap(&other.x_interval())
+        (other.xlo - self.xhi)
+            .max(self.xlo - other.xhi)
+            .max(Nm::ZERO)
     }
 
     /// The vertical gap between the y-projections (zero if they overlap).
+    #[inline]
     pub fn y_gap(&self, other: &Rect) -> Nm {
-        self.y_interval().gap(&other.y_interval())
+        (other.ylo - self.yhi)
+            .max(self.ylo - other.yhi)
+            .max(Nm::ZERO)
     }
 
     /// Squared Euclidean distance between the two closed rectangles (0 if they
     /// touch or overlap), using exact integer arithmetic.
+    #[inline]
     pub fn distance_squared(&self, other: &Rect) -> i64 {
         let dx = self.x_gap(other);
         let dy = self.y_gap(other);
@@ -219,6 +226,7 @@ impl Rect {
     /// This is the conflict predicate of the decomposition graph: two features
     /// closer than the minimum coloring distance `min_s` must receive
     /// different masks.
+    #[inline]
     pub fn within_distance(&self, other: &Rect, limit: Nm) -> bool {
         self.distance_squared(other) < limit.squared()
     }

@@ -1,6 +1,6 @@
 //! Property-based tests for the geometry substrate.
 
-use mpl_geometry::{GridIndex, Interval, Nm, Point, Polygon, Rect};
+use mpl_geometry::{GridIndex, Interval, Nm, Point, Polygon, QueryIds, Rect};
 use proptest::prelude::*;
 
 fn arb_rect() -> impl Strategy<Value = Rect> {
@@ -124,10 +124,7 @@ proptest! {
         cell in 10i64..200,
     ) {
         let limit = Nm(limit);
-        let mut index = GridIndex::new(Nm(cell));
-        for (id, r) in rects.iter().enumerate() {
-            index.insert(id, *r);
-        }
+        let index = GridIndex::build(Nm(cell), rects.iter().copied().enumerate());
         let mut got = index.query_within(&query, limit);
         got.sort_unstable();
         let mut expected: Vec<usize> = rects
@@ -138,5 +135,66 @@ proptest! {
             .collect();
         expected.sort_unstable();
         prop_assert_eq!(got, expected);
+    }
+
+    #[test]
+    fn grid_index_visits_in_the_documented_order(
+        entries in prop::collection::vec((0usize..12, arb_rect()), 1..60),
+        window in (-12i64..12, -12i64..12, 0i64..4, 0i64..4),
+        random_query in arb_rect(),
+        on_cell_boundaries in 0u8..2,
+        limit in 1i64..160,
+        cell in 10i64..120,
+    ) {
+        // Several rectangles per id (12 ids over up to 60 entries), negative
+        // coordinates, and half the queries a window whose edges lie on
+        // cell boundaries.
+        let limit = Nm(limit);
+        let query = if on_cell_boundaries == 1 {
+            let (x, y, w, h) = window;
+            Rect::new(Nm(x * cell), Nm(y * cell), Nm((x + w) * cell), Nm((y + h) * cell))
+        } else {
+            random_query
+        };
+        let index = GridIndex::build(Nm(cell), entries.iter().copied());
+
+        // Brute force: every matching entry once, ordered by the first cell
+        // it shares with the query window (x, then y), then by insertion.
+        let lo_cell = |value: Nm, margin: i64| (value.value() - margin).div_euclid(cell);
+        let (qx0, qy0) = (lo_cell(query.xlo(), limit.value()), lo_cell(query.ylo(), limit.value()));
+        let mut expected: Vec<((i64, i64), usize)> = entries
+            .iter()
+            .enumerate()
+            .filter(|(_, (_, r))| query.within_distance(r, limit))
+            .map(|(slot, (_, r))| {
+                ((lo_cell(r.xlo(), 0).max(qx0), lo_cell(r.ylo(), 0).max(qy0)), slot)
+            })
+            .collect();
+        expected.sort_unstable();
+        let expected: Vec<(usize, Rect, i64)> = expected
+            .iter()
+            .map(|&(_, slot)| {
+                let (id, r) = entries[slot];
+                (id, r, query.distance_squared(&r))
+            })
+            .collect();
+
+        let mut visited = Vec::new();
+        index.visit_within(&query, limit, |id, r, d2| visited.push((id, *r, d2)));
+        prop_assert_eq!(&visited, &expected);
+
+        // Ids: each once, in the order of its first visited rectangle, the
+        // same from a fresh and from a reused buffer.
+        let mut first_seen: Vec<usize> = Vec::new();
+        for &(id, _, _) in &visited {
+            if !first_seen.contains(&id) {
+                first_seen.push(id);
+            }
+        }
+        prop_assert_eq!(&index.query_within(&query, limit), &first_seen);
+        let mut reused = QueryIds::default();
+        index.query_within_into(&random_query, Nm(400), &mut reused);
+        index.query_within_into(&query, limit, &mut reused);
+        prop_assert_eq!(reused.as_slice(), &first_seen[..]);
     }
 }

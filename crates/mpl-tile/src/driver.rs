@@ -205,6 +205,6 @@ fn shard_layout(plan: &DecompositionPlan, tile_size: Nm, halo: Nm) -> (Partition
 /// Bounding box of every polygon in the graph (`None` for empty layouts).
 fn layout_bbox(graph: &mpl_core::DecompositionGraph) -> Option<Rect> {
     (0..graph.vertex_count())
-        .map(|index| graph.polygon(VertexId(index)).bounding_box())
+        .map(|index| graph.rect(VertexId(index)))
         .reduce(|a, b| a.union_bbox(&b))
 }

@@ -27,7 +27,7 @@ pub(crate) fn owners(
 ) -> Vec<(usize, usize)> {
     task.to_global()
         .iter()
-        .map(|&global| grid.tile_of(graph.polygon(VertexId(global)).bounding_box().center()))
+        .map(|&global| grid.tile_of(graph.rect(VertexId(global)).center()))
         .collect()
 }
 
@@ -56,7 +56,7 @@ pub(crate) fn shard_giant(
     let bboxes: Vec<mpl_geometry::Rect> = task
         .to_global()
         .iter()
-        .map(|&global| graph.polygon(VertexId(global)).bounding_box())
+        .map(|&global| graph.rect(VertexId(global)))
         .collect();
 
     let mut in_piece = vec![false; n];
